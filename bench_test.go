@@ -18,11 +18,11 @@ import (
 	"testing"
 
 	"tnb/internal/bec"
-	"tnb/internal/core"
 	"tnb/internal/lora"
 	"tnb/internal/metrics"
 	"tnb/internal/obs"
 	"tnb/internal/sim"
+	"tnb/internal/stagegraph"
 	"tnb/internal/trace"
 )
 
@@ -490,8 +490,8 @@ func BenchmarkReceiver(b *testing.B) {
 	}
 	tr, _ := tb.Build()
 
-	run := func(b *testing.B, workers int, met *core.PipelineMetrics, tracer *obs.Tracer) {
-		rx := core.NewReceiver(core.Config{Params: p, UseBEC: true, Workers: workers,
+	run := func(b *testing.B, workers int, met *stagegraph.PipelineMetrics, tracer *obs.Tracer) {
+		rx := stagegraph.New(stagegraph.Config{Params: p, UseBEC: true, Workers: workers,
 			Metrics: met, Tracer: tracer})
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -506,7 +506,7 @@ func BenchmarkReceiver(b *testing.B) {
 	}
 	b.Run("bare", func(b *testing.B) { run(b, 1, nil, nil) })
 	b.Run("instrumented", func(b *testing.B) {
-		run(b, 1, core.NewPipelineMetrics(metrics.NewRegistry()), nil)
+		run(b, 1, stagegraph.NewPipelineMetrics(metrics.NewRegistry()), nil)
 	})
 	b.Run("traced", func(b *testing.B) {
 		run(b, 1, nil, obs.New(obs.Options{RingSize: 64}))

@@ -25,7 +25,6 @@ import (
 	"runtime/pprof"
 	"sort"
 
-	"tnb/internal/core"
 	"tnb/internal/lora"
 	"tnb/internal/obs"
 	"tnb/internal/stagegraph"
@@ -77,7 +76,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	cfg := core.Config{Params: params, UseBEC: !*noBEC, Workers: *workers}
+	cfg := stagegraph.Config{Params: params, UseBEC: !*noBEC, Workers: *workers}
 	switch *scheme {
 	case "tnb", "thrive":
 	case "sibling":
@@ -119,7 +118,7 @@ func main() {
 		cfg.Recorder = rec
 	}
 
-	rx := core.NewReceiver(cfg)
+	rx := stagegraph.New(cfg)
 	decoded := rx.Decode(tr)
 	if rec != nil {
 		if err := rec.WriteFile(*record); err != nil {

@@ -16,7 +16,7 @@ import (
 	"tnb/internal/trace"
 )
 
-// Decoded mirrors core.Decoded for baseline receivers.
+// Decoded mirrors stagegraph.Decoded for baseline receivers.
 type Decoded struct {
 	Payload   []uint8
 	Header    lora.Header

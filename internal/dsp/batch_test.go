@@ -38,35 +38,8 @@ func TestForwardMagBatchMatchesPerRow(t *testing.T) {
 	}
 }
 
-// TestForwardMagBatchFlatMatchesBatch pins the split-plane kernel against the
-// complex batch at the bit level (the contract only requires ≤1e-9).
-func TestForwardMagBatchFlatMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	for _, n := range []int{1, 4, 8, 64, 256, 1024} {
-		p := MustPlan(n)
-		for _, rows := range []int{1, 3, 8} {
-			x := randRows(rng, rows, n)
-			want := make([]float64, rows*n)
-			p.ForwardMagBatch(want, append([]complex128(nil), x...), rows)
-			re := make([]float64, rows*n)
-			im := make([]float64, rows*n)
-			for i, v := range x {
-				re[i], im[i] = real(v), imag(v)
-			}
-			got := make([]float64, rows*n)
-			p.ForwardMagBatchFlat(got, re, im, rows)
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("n=%d rows=%d: flat[%d]=%v, batch=%v", n, rows, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestForwardMagBatchRevMatchesBatch pins the pre-reversed entry points:
-// feeding rev-permuted rows must reproduce the plain batch result exactly,
-// in both layouts.
+// TestForwardMagBatchRevMatchesBatch pins the pre-reversed entry point:
+// feeding rev-permuted rows must reproduce the plain batch result exactly.
 func TestForwardMagBatchRevMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	for _, n := range []int{8, 64, 256} {
@@ -90,60 +63,12 @@ func TestForwardMagBatchRevMatchesBatch(t *testing.T) {
 					t.Fatalf("n=%d rows=%d: rev[%d]=%v, batch=%v", n, rows, i, got[i], want[i])
 				}
 			}
-
-			re := make([]float64, rows*n)
-			im := make([]float64, rows*n)
-			for i, v := range perm {
-				re[i], im[i] = real(v), imag(v)
-			}
-			gotFlat := make([]float64, rows*n)
-			p.ForwardMagBatchFlatRev(gotFlat, re, im, rows)
-			for i := range want {
-				if math.Float64bits(gotFlat[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("n=%d rows=%d: flatRev[%d]=%v, batch=%v", n, rows, i, gotFlat[i], want[i])
-				}
-			}
 		}
 	}
 }
 
-// TestDechirpFusedFlatMatchesComplex pins the split-output dechirp against
-// DechirpFused across the integer fast path, the fractional path, and the
-// rotated variants of both.
-func TestDechirpFusedFlatMatchesComplex(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	const n = 256
-	x := randRows(rng, 1, 4*n)
-	ref := randRows(rng, 1, n)
-	cases := []struct {
-		name           string
-		start, step    float64
-		phase0, dphase float64
-	}{
-		{"integer", 512, 2, 0, 0},
-		{"integer_tail", 4*n - 100, 2, 0, 0}, // runs off the end of x
-		{"integer_rotated", 512, 2, 0.3, -0.001},
-		{"fractional", 511.25, 2.5, 0, 0},
-		{"fractional_rotated", 511.25, 2.5, 0.3, -0.001},
-	}
-	for _, tc := range cases {
-		want := make([]complex128, n)
-		DechirpFused(want, x, tc.start, tc.step, ref, tc.phase0, tc.dphase)
-		re := make([]float64, n)
-		im := make([]float64, n)
-		DechirpFusedFlat(re, im, x, tc.start, tc.step, ref, tc.phase0, tc.dphase)
-		for k := range want {
-			if math.Float64bits(re[k]) != math.Float64bits(real(want[k])) ||
-				math.Float64bits(im[k]) != math.Float64bits(imag(want[k])) {
-				t.Fatalf("%s: k=%d flat=(%v,%v), complex=%v", tc.name, k, re[k], im[k], want[k])
-			}
-		}
-	}
-}
-
-// TestForwardMagBatchZeroAllocs pins the batch kernels' allocation-free
-// steady state (the flat variant's zero-alloc guarantee holds in default
-// builds; the tnb_noflat fallback trades it away and is excluded there).
+// TestForwardMagBatchZeroAllocs pins the batch kernel's allocation-free
+// steady state.
 func TestForwardMagBatchZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	const n, rows = 256, 8
@@ -152,13 +77,6 @@ func TestForwardMagBatchZeroAllocs(t *testing.T) {
 	y := make([]float64, rows*n)
 	if a := testing.AllocsPerRun(50, func() { p.ForwardMagBatch(y, x, rows) }); a != 0 {
 		t.Fatalf("ForwardMagBatch allocates %v/op", a)
-	}
-	re := make([]float64, rows*n)
-	im := make([]float64, rows*n)
-	if a := testing.AllocsPerRun(50, func() { p.ForwardMagBatchFlat(y, re, im, rows) }); a != 0 {
-		if FlatKernels {
-			t.Fatalf("ForwardMagBatchFlat allocates %v/op", a)
-		}
 	}
 }
 
@@ -180,17 +98,6 @@ func BenchmarkForwardMagBatch(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			p.ForwardMagBatch(y, x, rows)
-		}
-	})
-	re := make([]float64, rows*n)
-	im := make([]float64, rows*n)
-	for i, v := range x {
-		re[i], im[i] = real(v), imag(v)
-	}
-	b.Run("batch-flat", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p.ForwardMagBatchFlat(y, re, im, rows)
 		}
 	})
 }

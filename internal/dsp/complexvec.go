@@ -12,13 +12,6 @@ func MulConj(dst, a, b []complex128) {
 	}
 }
 
-// Mul writes a[i] * b[i] into dst. dst may alias a or b.
-func Mul(dst, a, b []complex128) {
-	for i := range dst {
-		dst[i] = a[i] * b[i]
-	}
-}
-
 // AddTo accumulates src into dst element-wise.
 func AddTo(dst, src []complex128) {
 	for i := range dst {

@@ -1,6 +1,6 @@
 // Package dsp provides the signal-processing primitives used by the LoRa
 // receiver: an iterative radix-2 FFT with cached twiddle factors, complex
-// vector helpers, fractional-delay interpolation and a Gaussian sampler.
+// vector helpers, fractional-delay interpolation and Gaussian noise.
 //
 // Everything here is pure Go on top of the standard library. FFT sizes in
 // this repository are always powers of two (2^SF, optionally times the
@@ -21,8 +21,6 @@ type FFTPlan struct {
 	logN    int
 	rev     []int32      // bit-reversal permutation
 	twiddle []complex128 // e^{-2πik/n} for k in [0, n/2)
-	twRe    []float64    // real(twiddle), for the split re/im kernels
-	twIm    []float64    // imag(twiddle)
 	// twStage[s] holds the twiddles of generic stage size 8<<s compacted to
 	// stride 1 — twStage[s][i] == twiddle[i·(n/(8<<s))], the same bits — so
 	// the stage loops walk their table sequentially instead of re-striding
@@ -53,8 +51,6 @@ func NewFFTPlan(n int) (*FFTPlan, error) {
 		logN:    bits.TrailingZeros(uint(n)),
 		rev:     make([]int32, n),
 		twiddle: make([]complex128, n/2),
-		twRe:    make([]float64, n/2),
-		twIm:    make([]float64, n/2),
 	}
 	shift := 32 - p.logN
 	for i := 0; i < n; i++ {
@@ -63,8 +59,6 @@ func NewFFTPlan(n int) (*FFTPlan, error) {
 	for k := 0; k < n/2; k++ {
 		ang := -2 * math.Pi * float64(k) / float64(n)
 		p.twiddle[k] = complex(math.Cos(ang), math.Sin(ang))
-		p.twRe[k] = math.Cos(ang)
-		p.twIm[k] = math.Sin(ang)
 	}
 	for size := 8; size <= n>>1; size <<= 1 {
 		half, step := size>>1, n/size

@@ -5,19 +5,6 @@ import (
 	"math/rand"
 )
 
-// Gaussian draws one sample from N(0, 1) using the given source. It is a
-// thin wrapper over rand.Rand.NormFloat64, kept here so callers in the
-// channel package depend only on dsp for their randomness needs.
-func Gaussian(rng *rand.Rand) float64 {
-	return rng.NormFloat64()
-}
-
-// ComplexGaussian draws a circularly-symmetric complex Gaussian sample with
-// the given standard deviation per real dimension.
-func ComplexGaussian(rng *rand.Rand, sigma float64) complex128 {
-	return complex(sigma*rng.NormFloat64(), sigma*rng.NormFloat64())
-}
-
 // AddNoise adds circularly-symmetric complex Gaussian noise with total
 // variance noisePower (i.e. E|n|² = noisePower) to every element of x.
 func AddNoise(x []complex128, noisePower float64, rng *rand.Rand) {

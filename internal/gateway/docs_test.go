@@ -7,9 +7,9 @@ import (
 	"strings"
 	"testing"
 
-	"tnb/internal/core"
 	"tnb/internal/metrics"
 	"tnb/internal/netserver"
+	"tnb/internal/stagegraph"
 	"tnb/internal/stream"
 	"tnb/internal/tracestore"
 )
@@ -26,7 +26,7 @@ func TestMetricsDocumented(t *testing.T) {
 	// instruments register under their base names.
 	NewMetrics(reg)
 	stream.NewMetrics(reg)
-	core.NewPipelineMetrics(reg)
+	stagegraph.NewPipelineMetrics(reg)
 	netserver.NewMetrics(reg)
 	tracestore.NewMetrics(reg)
 	NewShardMetrics(reg, ShardKey{Channel: 0, SF: 8})

@@ -33,10 +33,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tnb/internal/core"
 	"tnb/internal/lora"
 	"tnb/internal/metrics"
 	"tnb/internal/obs"
+	"tnb/internal/stagegraph"
 	"tnb/internal/stream"
 )
 
@@ -147,7 +147,7 @@ type Server struct {
 	// server tracer.
 	Tracer *obs.Tracer
 	// Workers is the per-connection receiver pool width
-	// (core.Config.Workers semantics: 0 → GOMAXPROCS, 1 → serial). A
+	// (stagegraph.Config.Workers semantics: 0 → GOMAXPROCS, 1 → serial). A
 	// gateway serving many concurrent connections may prefer 1 so each
 	// connection stays on one core.
 	Workers int
@@ -188,7 +188,7 @@ type Server struct {
 
 	metOnce sync.Once
 	met     *Metrics
-	pmet    *core.PipelineMetrics
+	pmet    *stagegraph.PipelineMetrics
 	smet    *stream.Metrics
 
 	shOnce sync.Once
@@ -215,13 +215,13 @@ func (s *Server) ShardCount() int { return s.shards().size() }
 // instruments lazily builds the server's metric handles from s.Registry.
 // With no registry everything stays nil, and the nil-safe methods make the
 // whole instrumentation a no-op.
-func (s *Server) instruments() (*Metrics, *core.PipelineMetrics, *stream.Metrics) {
+func (s *Server) instruments() (*Metrics, *stagegraph.PipelineMetrics, *stream.Metrics) {
 	s.metOnce.Do(func() {
 		if s.Registry == nil {
 			return
 		}
 		s.met = NewMetrics(s.Registry)
-		s.pmet = core.NewPipelineMetrics(s.Registry)
+		s.pmet = stagegraph.NewPipelineMetrics(s.Registry)
 		s.smet = stream.NewMetrics(s.Registry)
 	})
 	return s.met, s.pmet, s.smet
@@ -464,7 +464,7 @@ func (s *Server) handle(conn net.Conn, log *slog.Logger) error {
 	tracer = tracer.WithOrigin(obs.Origin{Gateway: s.ID, Channel: hello.Channel, SF: params.SF})
 
 	st, err := stream.New(stream.Config{
-		Receiver:         core.Config{Params: params, UseBEC: useBEC, Workers: s.Workers, Metrics: pmet, Tracer: tracer},
+		Receiver:         stagegraph.Config{Params: params, UseBEC: useBEC, Workers: s.Workers, Metrics: pmet, Tracer: tracer},
 		MaxBufferSamples: s.MaxBufferSamples,
 		Metrics:          smet,
 	})

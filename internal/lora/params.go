@@ -139,12 +139,6 @@ func (p Params) PayloadSymbols(payloadLen int) int {
 	return HeaderSymbols + blocks*p.codewordLen()
 }
 
-// PacketSymbols returns the full packet length in symbols including the
-// preamble (rounded up for the 2.25 downchirps).
-func (p Params) PacketSymbols(payloadLen int) float64 {
-	return p.PreambleSymbols() + float64(p.PayloadSymbols(payloadLen))
-}
-
 // PacketSamples returns the full packet length in receiver samples.
 func (p Params) PacketSamples(payloadLen int) int {
 	return p.PreambleSamples() + p.PayloadSymbols(payloadLen)*p.SymbolSamples()

@@ -8,8 +8,8 @@
 //
 // The Tracer is nil-safe throughout: a receiver configured without a tracer
 // pays one nil check per packet, the same zero-cost pattern as
-// core.PipelineMetrics. Traces are exported as JSONL (one record per line,
-// discriminated by a "type" field), kept in a ring buffer for the
+// stagegraph.PipelineMetrics. Traces are exported as JSONL (one record per
+// line, discriminated by a "type" field), kept in a ring buffer for the
 // /debug/traces ops endpoint, and summarized per report by the gateway.
 package obs
 
@@ -255,7 +255,7 @@ type PacketTrace struct {
 	ListDecodeTried int `json:"list_decode_tried,omitempty"`
 
 	// Decode outcome. DataSymbols and AirtimeSec come from the decoded PHY
-	// header and match core.Decoded's fields.
+	// header and match stagegraph.Decoded's fields.
 	OK            bool          `json:"ok"`
 	FailureReason FailureReason `json:"failure_reason,omitempty"`
 	Rescued       int           `json:"rescued,omitempty"`

@@ -7,9 +7,9 @@ import (
 
 	"tnb/internal/baseline"
 	"tnb/internal/channel"
-	"tnb/internal/core"
 	"tnb/internal/lora"
 	"tnb/internal/obs"
+	"tnb/internal/stagegraph"
 	"tnb/internal/thrive"
 	"tnb/internal/trace"
 )
@@ -25,9 +25,10 @@ var tracer *obs.Tracer
 func SetTracer(t *obs.Tracer) { tracer = t }
 
 // workers is the per-receiver worker-pool width handed to every TnB-family
-// receiver runScheme builds (core.Config.Workers semantics: 0 → GOMAXPROCS,
-// 1 → serial). Figure runs already fan out across runs and loads, so CLI
-// users typically set 1 here and let ParallelRuns own the cores.
+// receiver runScheme builds (stagegraph.Config.Workers semantics:
+// 0 → GOMAXPROCS, 1 → serial). Figure runs already fan out across runs and
+// loads, so CLI users typically set 1 here and let ParallelRuns own the
+// cores.
 var workers int
 
 // SetWorkers installs the process-wide per-receiver pool width. Call before
@@ -199,8 +200,8 @@ func runScheme(s Scheme, gt *GroundTruth, cfg Config) []decodedPacket {
 		// Record into the process-wide pipeline instruments so offline
 		// simulations share the live gateway's metrics schema (dumped by
 		// tnbsim -metrics-out). Atomic counters: safe under ParallelRuns.
-		rc := core.Config{Params: p, UseBEC: true, Seed: cfg.Seed,
-			Workers: workers, Metrics: core.DefaultPipelineMetrics(), Tracer: tracer}
+		rc := stagegraph.Config{Params: p, UseBEC: true, Seed: cfg.Seed,
+			Workers: workers, Metrics: stagegraph.DefaultPipelineMetrics(), Tracer: tracer}
 		switch s {
 		case SchemeThrive:
 			rc.UseBEC = false
@@ -213,7 +214,7 @@ func runScheme(s Scheme, gt *GroundTruth, cfg Config) []decodedPacket {
 		case SchemeAlignTrackBEC:
 			rc.Policy = thrive.PolicyAlignTrack
 		}
-		r := core.NewReceiver(rc)
+		r := stagegraph.New(rc)
 		for _, d := range r.Decode(gt.Trace) {
 			out = append(out, decodedPacket{payload: d.Payload, start: d.Start,
 				snrdB: d.SNRdB, rescued: d.Rescued, pass: d.Pass, hasSNR: true})

@@ -161,39 +161,3 @@ func TestScaleHelpers(t *testing.T) {
 		t.Error("zero scale must keep deployment nodes")
 	}
 }
-
-func TestRunBatchOrderAndParity(t *testing.T) {
-	cfg := Config{
-		Deployment:    Deployment{Name: "batch", Nodes: 4, MeanDB: 12, SpreadDB: 3, MinDB: 5, MaxDB: 20},
-		SF:            8,
-		CR:            4,
-		LoadPktPerSec: 4,
-		DurationSec:   1.0,
-		Seed:          42,
-	}
-	jobs := []Job{
-		{Config: cfg, Scheme: SchemeTnB},
-		{Config: cfg, Scheme: SchemeLoRaPHY},
-		{Config: cfg, Scheme: SchemeTnB}, // duplicate: must match job 0
-	}
-	par := RunBatch(jobs, 3)
-	seq := RunBatch(jobs, 1)
-	for i := range jobs {
-		if par[i].Err != nil || seq[i].Err != nil {
-			t.Fatalf("job %d errored: %v %v", i, par[i].Err, seq[i].Err)
-		}
-		if par[i].Result.Decoded != seq[i].Result.Decoded {
-			t.Errorf("job %d: parallel %d vs sequential %d decodes",
-				i, par[i].Result.Decoded, seq[i].Result.Decoded)
-		}
-		if par[i].Job.Scheme != jobs[i].Scheme {
-			t.Errorf("job %d: result order scrambled", i)
-		}
-	}
-	if par[0].Result.Decoded != par[2].Result.Decoded {
-		t.Error("identical jobs gave different results")
-	}
-	if out := RunBatch(nil, 4); len(out) != 0 {
-		t.Error("empty batch should give empty results")
-	}
-}

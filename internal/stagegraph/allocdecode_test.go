@@ -1,4 +1,4 @@
-package core
+package stagegraph
 
 import (
 	"bytes"
@@ -35,7 +35,7 @@ const decodeAllocCeiling = 2000
 func TestDecodeSteadyStateAllocs(t *testing.T) {
 	p := lora.MustParams(8, 4, 125e3, 8)
 	tr, _ := buildCollidedTrace(t, p, 7)
-	r := NewReceiver(Config{Params: p, UseBEC: true, Seed: 7, Workers: 1})
+	r := New(Config{Params: p, UseBEC: true, Seed: 7, Workers: 1})
 	if len(r.Decode(tr)) == 0 {
 		t.Fatal("warmup decoded nothing")
 	}
@@ -59,15 +59,15 @@ func TestReceiverReuseDeterministic(t *testing.T) {
 	trA, _ := buildCollidedTrace(t, p, 7)
 	trB, _ := buildCollidedTrace(t, p, 21)
 
-	refA := NewReceiver(Config{Params: p, UseBEC: true, Seed: 7, Workers: 1})
-	refB := NewReceiver(Config{Params: p, UseBEC: true, Seed: 7, Workers: 1})
+	refA := New(Config{Params: p, UseBEC: true, Seed: 7, Workers: 1})
+	refB := New(Config{Params: p, UseBEC: true, Seed: 7, Workers: 1})
 	wantA := summarize(refA.Decode(trA))
 	wantB := summarize(refB.Decode(trB))
 	if wantA == "decoded=0\n" || wantB == "decoded=0\n" {
 		t.Fatal("reference decoded nothing")
 	}
 
-	reused := NewReceiver(Config{Params: p, UseBEC: true, Seed: 7, Workers: 1})
+	reused := New(Config{Params: p, UseBEC: true, Seed: 7, Workers: 1})
 	for round := 0; round < 3; round++ {
 		if got := summarize(reused.Decode(trA)); got != wantA {
 			t.Fatalf("round %d trace A: reused receiver diverged from fresh\nfresh:\n%s\nreused:\n%s",

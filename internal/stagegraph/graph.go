@@ -78,9 +78,6 @@ type Graph struct {
 // NewGraph wires the given stages in order.
 func NewGraph(stages ...Stage) *Graph { return &Graph{stages: stages} }
 
-// Stages returns the graph's nodes in execution order.
-func (g *Graph) Stages() []Stage { return g.stages }
-
 // Run executes the stages of one window in order, snapshotting each stage's
 // output boundary into the pipeline's recorder when one is attached. It
 // stops early when a stage leaves the window empty (no detections), which

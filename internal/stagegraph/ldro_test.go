@@ -1,4 +1,4 @@
-package core
+package stagegraph
 
 import (
 	"bytes"
@@ -22,7 +22,7 @@ func TestReceiverLDROEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr, _ := b.Build()
-	r := NewReceiver(Config{Params: p, UseBEC: true})
+	r := New(Config{Params: p, UseBEC: true})
 	decoded := r.Decode(tr)
 	found := false
 	for _, d := range decoded {

@@ -1,4 +1,4 @@
-package core
+package stagegraph
 
 import (
 	"testing"
@@ -19,7 +19,7 @@ func TestPipelineMetricsRecorded(t *testing.T) {
 
 	reg := metrics.NewRegistry()
 	met := NewPipelineMetrics(reg)
-	r := NewReceiver(Config{Params: p, UseBEC: true, Metrics: met})
+	r := New(Config{Params: p, UseBEC: true, Metrics: met})
 	decoded := r.Decode(tr)
 	if n := countDecoded(decoded, recs); n != 2 {
 		t.Fatalf("decoded %d/2 packets", n)
@@ -46,18 +46,30 @@ func TestPipelineMetricsRecorded(t *testing.T) {
 	}
 }
 
-// TestNilMetricsIsNoop checks the un-instrumented receiver works. The
-// nil-receiver safety of the stage hooks themselves is pinned in
-// internal/stagegraph, where they live.
+// TestNilMetricsIsNoop checks the un-instrumented receiver works.
 func TestNilMetricsIsNoop(t *testing.T) {
 	p := lora.MustParams(8, 4, 125e3, 8)
 	tr, recs := makeTrace(t, 641, p, 1.0, []txSpec{
 		{start: 20000, snr: 10, cfo: 0, payload: payloadOf(3)},
 	})
-	r := NewReceiver(Config{Params: p, UseBEC: true})
+	r := New(Config{Params: p, UseBEC: true})
 	if n := countDecoded(r.Decode(tr), recs); n != 1 {
 		t.Fatalf("decoded %d/1 packets", n)
 	}
+}
+
+// TestNilPipelineMetricsHooks pins the nil-receiver safety of every stage
+// hook.
+func TestNilPipelineMetricsHooks(t *testing.T) {
+	var m *PipelineMetrics
+	m.observeDetect(m.now())
+	m.observeSigCalc(m.now())
+	m.observeThrive(m.now())
+	m.observeDecode(m.now())
+	m.onDetected(1)
+	m.onDecoded(Decoded{Pass: 2, Rescued: 3})
+	m.onDecodeFailed()
+	m.onPoolWorkers(4)
 }
 
 func TestDefaultPipelineMetricsShared(t *testing.T) {

@@ -1,4 +1,4 @@
-package core
+package stagegraph
 
 import (
 	"bytes"
@@ -27,7 +27,7 @@ func TestTraceDecodedPacket(t *testing.T) {
 	tr, _ := makeTrace(t, 200, p, 1.0, []txSpec{
 		{start: 20000.4, snr: 8, cfo: 2100, payload: payloadOf(1)},
 	})
-	r := NewReceiver(Config{Params: p, UseBEC: true, Tracer: tracer})
+	r := New(Config{Params: p, UseBEC: true, Tracer: tracer})
 	decoded := r.Decode(tr)
 	if len(decoded) != 1 {
 		t.Fatalf("decoded %d packets", len(decoded))
@@ -93,13 +93,13 @@ func TestFailureAttributionCFOBias(t *testing.T) {
 	})
 
 	// Control: same trace decodes cleanly without the fault.
-	if n := len(NewReceiver(Config{Params: p, UseBEC: true}).Decode(tr)); n != 1 {
+	if n := len(New(Config{Params: p, UseBEC: true}).Decode(tr)); n != 1 {
 		t.Fatalf("control decode: %d packets", n)
 	}
 
 	var jsonl bytes.Buffer
 	tracer := obs.New(obs.Options{Sink: &jsonl, RingSize: 16})
-	r := NewReceiver(Config{Params: p, UseBEC: true, Tracer: tracer, FaultCFOBiasCycles: 6})
+	r := New(Config{Params: p, UseBEC: true, Tracer: tracer, FaultCFOBiasCycles: 6})
 	if n := len(r.Decode(tr)); n != 0 {
 		t.Fatalf("decoded %d packets despite 6-cycle CFO fault", n)
 	}
@@ -136,14 +136,14 @@ func TestFailureAttributionBECBudget(t *testing.T) {
 	tr, recs := makeTrace(t, 308, p, 1.3, specs)
 
 	// Control: the default budget decodes both packets.
-	rd := NewReceiver(Config{Params: p, UseBEC: true, Seed: 7})
+	rd := New(Config{Params: p, UseBEC: true, Seed: 7})
 	if got := countDecoded(rd.Decode(tr), recs); got != 2 {
 		t.Fatalf("control decode: %d/2 packets", got)
 	}
 
 	var jsonl bytes.Buffer
 	tracer := obs.New(obs.Options{Sink: &jsonl, RingSize: 16})
-	r := NewReceiver(Config{Params: p, UseBEC: true, Seed: 7, W: 1, Tracer: tracer})
+	r := New(Config{Params: p, UseBEC: true, Seed: 7, W: 1, Tracer: tracer})
 	if got := countDecoded(r.Decode(tr), recs); got != 1 {
 		t.Fatalf("W=1 decode: %d/2 packets, want exactly 1", got)
 	}
@@ -181,8 +181,8 @@ func TestTracedDecodeMatchesUntraced(t *testing.T) {
 		{start: 20000.4 + 11.5*sym, snr: 7, cfo: -3300, payload: payloadOf(2)},
 	})
 
-	bare := NewReceiver(Config{Params: p, UseBEC: true}).Decode(tr)
-	traced := NewReceiver(Config{Params: p, UseBEC: true,
+	bare := New(Config{Params: p, UseBEC: true}).Decode(tr)
+	traced := New(Config{Params: p, UseBEC: true,
 		Tracer: obs.New(obs.Options{RingSize: 16})}).Decode(tr)
 	if len(bare) != len(traced) {
 		t.Fatalf("traced run decoded %d packets, bare %d", len(traced), len(bare))

@@ -1,4 +1,4 @@
-package core
+package stagegraph
 
 import (
 	"bytes"
@@ -61,12 +61,12 @@ func traceCounters(tr *obs.Tracer) string {
 	return buf.String()
 }
 
-// TestDecodeDeterministicAcrossWorkerCounts is the PR's core contract: the
-// worker pool must never change what the receiver outputs. The same collided
-// trace is decoded with several pool widths and every observable — decoded
-// packets, pipeline counters, decode traces — must match the serial run
-// byte for byte. Run under -race this also shakes out data races in the
-// fan-out joints.
+// TestDecodeDeterministicAcrossWorkerCounts is the pipeline's central
+// contract: the worker pool must never change what the receiver outputs.
+// The same collided trace is decoded with several pool widths and every
+// observable — decoded packets, pipeline counters, decode traces — must
+// match the serial run byte for byte. Run under -race this also shakes out
+// data races in the fan-out joints.
 func TestDecodeDeterministicAcrossWorkerCounts(t *testing.T) {
 	p := lora.MustParams(8, 4, 125e3, 8)
 	for _, seed := range []int64{7, 21} {
@@ -75,7 +75,7 @@ func TestDecodeDeterministicAcrossWorkerCounts(t *testing.T) {
 		run := func(workers int) (string, string) {
 			met := NewPipelineMetrics(metrics.NewRegistry())
 			tracer := obs.New(obs.Options{RingSize: 64})
-			r := NewReceiver(Config{Params: p, UseBEC: true, Seed: seed,
+			r := New(Config{Params: p, UseBEC: true, Seed: seed,
 				Workers: workers, Metrics: met, Tracer: tracer})
 			out := r.Decode(tr)
 			return decodeSummary(out, met), traceCounters(tracer)
@@ -105,7 +105,7 @@ func TestWorkerGaugesRecorded(t *testing.T) {
 	p := lora.MustParams(8, 4, 125e3, 8)
 	tr, _ := buildCollidedTrace(t, p, 7)
 	met := NewPipelineMetrics(metrics.NewRegistry())
-	r := NewReceiver(Config{Params: p, UseBEC: true, Seed: 7, Workers: 4, Metrics: met})
+	r := New(Config{Params: p, UseBEC: true, Seed: 7, Workers: 4, Metrics: met})
 	if len(r.Decode(tr)) == 0 {
 		t.Fatal("decoded nothing")
 	}

@@ -95,7 +95,7 @@ type Decoded struct {
 
 // Pipeline is the TnB gateway-side decoder as a stage graph. Create with
 // New; a Pipeline may be reused across traces but is not safe for
-// concurrent use (core.Receiver is an alias of this type).
+// concurrent use.
 type Pipeline struct {
 	cfg      Config
 	detector *detect.Detector
@@ -135,16 +135,12 @@ func New(cfg Config) *Pipeline {
 		engine:   thrive.NewEngine(cfg.Params, thrive.Config{Policy: cfg.Policy, Omega: cfg.Omega}),
 	}
 	p.graph = NewGraph(DetectStage{}, SigCalcStage{}, ThriveStage{}, BECStage{})
-	p.passGraph = NewGraph(p.graph.Stages()[1:]...)
+	p.passGraph = NewGraph(SigCalcStage{}, ThriveStage{}, BECStage{})
 	if p.rec != nil {
 		p.rec.init(&cfg)
 	}
 	return p
 }
-
-// Graph returns the pipeline's full stage graph (detect → sigcalc →
-// thrive → bec); the second pass runs the same graph minus detection.
-func (p *Pipeline) Graph() *Graph { return p.graph }
 
 // packetRNG returns the BEC sampling source for one packet of one pass.
 // Seeding per (pass, packet) instead of sharing one stream across packets

@@ -1,4 +1,4 @@
-package core
+package stagegraph
 
 import (
 	"bytes"
@@ -10,51 +10,13 @@ import (
 	"tnb/internal/trace"
 )
 
-type txSpec struct {
-	start, snr, cfo float64
-	payload         []uint8
-}
-
-func makeTrace(t *testing.T, seed int64, p lora.Params, dur float64, specs []txSpec) (*trace.Trace, []trace.TxRecord) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	b := trace.NewBuilder(p, dur, 1, rng)
-	for i, s := range specs {
-		if err := b.AddPacket(i, i, s.payload, s.start, s.snr, s.cfo, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return b.Build()
-}
-
-func payloadOf(i int) []uint8 {
-	p := make([]uint8, 14)
-	for j := range p {
-		p[j] = uint8(i*31 + j)
-	}
-	return p
-}
-
-func countDecoded(decoded []Decoded, recs []trace.TxRecord) int {
-	n := 0
-	for _, rec := range recs {
-		for _, d := range decoded {
-			if bytes.Equal(d.Payload, rec.Payload) {
-				n++
-				break
-			}
-		}
-	}
-	return n
-}
-
 func TestReceiverSinglePacket(t *testing.T) {
 	for _, cr := range []int{1, 2, 3, 4} {
 		p := lora.MustParams(8, cr, 125e3, 8)
 		tr, recs := makeTrace(t, 200+int64(cr), p, 1.0, []txSpec{
 			{start: 20000.4, snr: 8, cfo: 2100, payload: payloadOf(1)},
 		})
-		r := NewReceiver(Config{Params: p, UseBEC: true})
+		r := New(Config{Params: p, UseBEC: true})
 		decoded := r.Decode(tr)
 		if countDecoded(decoded, recs) != 1 {
 			t.Errorf("CR%d: single packet not decoded", cr)
@@ -69,7 +31,7 @@ func TestReceiverTwoCollidedPackets(t *testing.T) {
 		{start: 20000.4, snr: 12, cfo: 2100, payload: payloadOf(1)},
 		{start: 20000.4 + 11.5*sym, snr: 7, cfo: -3300, payload: payloadOf(2)},
 	})
-	r := NewReceiver(Config{Params: p, UseBEC: true})
+	r := New(Config{Params: p, UseBEC: true})
 	decoded := r.Decode(tr)
 	if got := countDecoded(decoded, recs); got != 2 {
 		t.Errorf("decoded %d/2 collided packets", got)
@@ -84,7 +46,7 @@ func TestReceiverThreeCollidedPackets(t *testing.T) {
 		{start: 20000.4 + 9.3*sym, snr: 10, cfo: -3300, payload: payloadOf(2)},
 		{start: 20000.4 + 21.8*sym, snr: 6, cfo: 800, payload: payloadOf(3)},
 	})
-	r := NewReceiver(Config{Params: p, UseBEC: true})
+	r := New(Config{Params: p, UseBEC: true})
 	decoded := r.Decode(tr)
 	if got := countDecoded(decoded, recs); got < 2 {
 		t.Errorf("decoded %d/3 collided packets", got)
@@ -103,9 +65,9 @@ func TestReceiverBECOutperformsDefault(t *testing.T) {
 			{start: 20000.4 + (8.3+float64(seed))*sym, snr: 5, cfo: -3300, payload: payloadOf(2)},
 			{start: 20000.4 + (19.6+2*float64(seed))*sym, snr: 3, cfo: 900, payload: payloadOf(3)},
 		})
-		rb := NewReceiver(Config{Params: p, UseBEC: true, Seed: seed})
+		rb := New(Config{Params: p, UseBEC: true, Seed: seed})
 		totalBEC += countDecoded(rb.Decode(tr), recs)
-		rn := NewReceiver(Config{Params: p, UseBEC: false, Seed: seed})
+		rn := New(Config{Params: p, UseBEC: false, Seed: seed})
 		totalNoBEC += countDecoded(rn.Decode(tr), recs)
 	}
 	if totalBEC < totalNoBEC {
@@ -122,7 +84,7 @@ func TestReceiverSNREstimate(t *testing.T) {
 		tr, _ := makeTrace(t, 230, p, 1.0, []txSpec{
 			{start: 20000, snr: snr, cfo: 1000, payload: payloadOf(1)},
 		})
-		r := NewReceiver(Config{Params: p, UseBEC: true})
+		r := New(Config{Params: p, UseBEC: true})
 		decoded := r.Decode(tr)
 		if len(decoded) != 1 {
 			t.Fatalf("snr %g: %d decoded", snr, len(decoded))
@@ -144,7 +106,7 @@ func TestReceiverSecondPassRescues(t *testing.T) {
 			{start: 20000.4, snr: 18, cfo: 2100, payload: payloadOf(1)},
 			{start: 20000.4 + (6.5+float64(seed))*sym, snr: 0, cfo: -3300, payload: payloadOf(2)},
 		})
-		r := NewReceiver(Config{Params: p, UseBEC: true, Seed: seed})
+		r := New(Config{Params: p, UseBEC: true, Seed: seed})
 		decoded := r.Decode(tr)
 		for _, d := range decoded {
 			if d.Pass == 2 && bytes.Equal(d.Payload, recs[1].Payload) {
@@ -165,7 +127,7 @@ func TestReceiverPolicies(t *testing.T) {
 			{start: 20000.4, snr: 12, cfo: 2100, payload: payloadOf(1)},
 			{start: 20000.4 + 12.5*sym, snr: 9, cfo: -3300, payload: payloadOf(2)},
 		})
-		r := NewReceiver(Config{Params: p, Policy: pol, UseBEC: true})
+		r := New(Config{Params: p, Policy: pol, UseBEC: true})
 		decoded := r.Decode(tr)
 		if got := countDecoded(decoded, recs); got < 1 {
 			t.Errorf("policy %d: decoded %d/2", pol, got)
@@ -175,7 +137,7 @@ func TestReceiverPolicies(t *testing.T) {
 
 func TestReceiverEmptyTrace(t *testing.T) {
 	p := lora.MustParams(8, 4, 125e3, 8)
-	r := NewReceiver(Config{Params: p, UseBEC: true})
+	r := New(Config{Params: p, UseBEC: true})
 	rng := rand.New(rand.NewSource(260))
 	b := trace.NewBuilder(p, 0.5, 1, rng)
 	tr, _ := b.Build()
@@ -191,7 +153,7 @@ func TestReceiverSF10(t *testing.T) {
 		{start: 50000.4, snr: 6, cfo: 2100, payload: payloadOf(1)},
 		{start: 50000.4 + 10.5*sym, snr: 2, cfo: -3300, payload: payloadOf(2)},
 	})
-	r := NewReceiver(Config{Params: p, UseBEC: true})
+	r := New(Config{Params: p, UseBEC: true})
 	decoded := r.Decode(tr)
 	if got := countDecoded(decoded, recs); got < 1 {
 		t.Errorf("SF10: decoded %d/2", got)

@@ -19,6 +19,34 @@ const (
 	recNamePass    = "pass"
 )
 
+// boundary is one stage boundary of a pass: the stage whose output it is,
+// the encoder that snapshots it from a window, and a pure decoder that
+// rejects a corrupted payload at parse time.
+type boundary struct {
+	stage  Stage
+	encode func(*Window) []byte
+	check  func([]byte) error
+}
+
+// boundaries lists a pass's stage boundaries in pipeline order. It is the
+// one place a stage is registered with the recorder, the parser and replay.
+var boundaries = [...]boundary{
+	{DetectStage{}, encodeDetect, func(b []byte) error { _, err := decodeDetect(b); return err }},
+	{SigCalcStage{}, encodeSigCalc, func(b []byte) error { _, err := parseSigCalc(b); return err }},
+	{ThriveStage{}, encodeThrive, func(b []byte) error { _, err := parseThrive(b); return err }},
+	{BECStage{}, encodeBEC, func(b []byte) error { _, err := decodeBEC(b); return err }},
+}
+
+// boundaryFor returns the boundary of the named stage, or nil.
+func boundaryFor(name string) *boundary {
+	for i := range boundaries {
+		if boundaries[i].stage.Name() == name {
+			return &boundaries[i]
+		}
+	}
+	return nil
+}
+
 // RecHeader is the recording's self-description: the format version plus
 // every Config knob that shapes stage outputs, so a replay pipeline can be
 // reconstructed from the recording alone. It is stored as JSON — the one
@@ -135,20 +163,11 @@ func (r *Recorder) snapshot(name string, w *Window) {
 		e.uv(uint64(w.Pass))
 		r.buf = appendRecord(r.buf, recNamePass, e.b)
 	}
-	var payload []byte
-	switch name {
-	case StageDetect:
-		payload = encodeDetect(w)
-	case StageSigCalc:
-		payload = encodeSigCalc(w)
-	case StageThrive:
-		payload = encodeThrive(w)
-	case StageBEC:
-		payload = encodeBEC(w)
-	default:
+	b := boundaryFor(name)
+	if b == nil {
 		panic("stagegraph: unknown stage boundary " + name)
 	}
-	r.buf = appendRecord(r.buf, name, payload)
+	r.buf = appendRecord(r.buf, name, b.encode(w))
 }
 
 // encodeDetect serializes the detect boundary: the refined detections.

@@ -20,9 +20,6 @@ import (
 // netserver shards), so the handle is single-flight by design.
 var ErrConcurrentUse = errors.New("stagegraph: recording handle already in use")
 
-// stageOrder is the canonical boundary order within one pass.
-var stageOrder = [...]string{StageDetect, StageSigCalc, StageThrive, StageBEC}
-
 // RecordedPass holds the stage boundaries captured for one decoding pass of
 // one window.
 type RecordedPass struct {
@@ -35,9 +32,9 @@ type RecordedPass struct {
 // Stages returns the pass's recorded boundaries in pipeline order.
 func (rp *RecordedPass) Stages() []string {
 	var out []string
-	for _, s := range stageOrder {
-		if _, ok := rp.Boundaries[s]; ok {
-			out = append(out, s)
+	for _, b := range boundaries {
+		if _, ok := rp.Boundaries[b.stage.Name()]; ok {
+			out = append(out, b.stage.Name())
 		}
 	}
 	return out
@@ -87,7 +84,6 @@ type Recording struct {
 	Windows []*RecordedWindow
 
 	inUse       atomic.Bool
-	demod       *lora.Demodulator
 	pipe        *Pipeline
 	pipeWorkers int
 }
@@ -158,39 +154,25 @@ func ParseRecording(data []byte) (*Recording, error) {
 			}
 			curPass = &RecordedPass{Pass: pass, Boundaries: map[string][]byte{}}
 			curWin.Passes = append(curWin.Passes, curPass)
-		case StageDetect, StageSigCalc, StageThrive, StageBEC:
+		default:
+			b := boundaryFor(name)
+			if b == nil {
+				// Unknown record from a newer writer: skip.
+				continue
+			}
 			if curPass == nil {
 				return nil, fmt.Errorf("stagegraph: %s boundary before any pass record", name)
 			}
 			if _, dup := curPass.Boundaries[name]; dup {
 				return nil, fmt.Errorf("stagegraph: duplicate %s boundary in pass %d", name, curPass.Pass)
 			}
-			if err := validateBoundary(name, payload); err != nil {
+			if err := b.check(payload); err != nil {
 				return nil, err
 			}
 			curPass.Boundaries[name] = payload
-		default:
-			// Unknown record from a newer writer: skip.
 		}
 	}
 	return rec, nil
-}
-
-// validateBoundary decodes a boundary payload purely (no calculator or
-// pipeline construction) to reject corruption at parse time.
-func validateBoundary(name string, payload []byte) error {
-	var err error
-	switch name {
-	case StageDetect:
-		_, err = decodeDetect(payload)
-	case StageSigCalc:
-		_, err = parseSigCalc(payload)
-	case StageThrive:
-		_, err = parseThrive(payload)
-	case StageBEC:
-		_, err = decodeBEC(payload)
-	}
-	return err
 }
 
 // LoadRecording reads and parses a recording file.
@@ -300,7 +282,7 @@ func (rec *Recording) replayLocked(opt ReplayOptions) (*StageDiff, error) {
 	}
 
 	p := rec.pipeline(opt.Workers)
-	w, err := rec.windowBefore(rw, rp, opt)
+	w, err := windowBefore(rw, rp, opt, p.demod)
 	if err != nil {
 		return nil, err
 	}
@@ -310,8 +292,9 @@ func (rec *Recording) replayLocked(opt ReplayOptions) (*StageDiff, error) {
 		// that nothing retains between calls.
 		p.calcs.Rewind()
 	}
-	stageFor(opt.Stage).Run(p, w)
-	replayed := encodeStage(opt.Stage, w)
+	b := boundaryFor(opt.Stage)
+	b.stage.Run(p, w)
+	replayed := b.encode(w)
 	return &StageDiff{
 		Window:   opt.Window,
 		Pass:     opt.Pass,
@@ -334,46 +317,12 @@ func (rec *Recording) pipeline(workers int) *Pipeline {
 	return rec.pipe
 }
 
-func (rec *Recording) demodulator() *lora.Demodulator {
-	if rec.demod == nil {
-		rec.demod = lora.NewDemodulator(rec.Header.Config().Params)
-	}
-	return rec.demod
-}
-
-func stageFor(name string) Stage {
-	switch name {
-	case StageDetect:
-		return DetectStage{}
-	case StageSigCalc:
-		return SigCalcStage{}
-	case StageThrive:
-		return ThriveStage{}
-	case StageBEC:
-		return BECStage{}
-	}
-	panic("stagegraph: unknown stage " + name)
-}
-
-func encodeStage(name string, w *Window) []byte {
-	switch name {
-	case StageDetect:
-		return encodeDetect(w)
-	case StageSigCalc:
-		return encodeSigCalc(w)
-	case StageThrive:
-		return encodeThrive(w)
-	case StageBEC:
-		return encodeBEC(w)
-	}
-	panic("stagegraph: unknown stage " + name)
-}
-
 // windowBefore reconstructs the window exactly as it stood when the target
 // stage ran: every upstream boundary of the same pass is loaded from the
 // recording, and for pass 2 the pass-1 thrive and bec boundaries supply the
 // prior states and decoded set the real pipeline would have carried over.
-func (rec *Recording) windowBefore(rw *RecordedWindow, rp *RecordedPass, opt ReplayOptions) (*Window, error) {
+// demod backs the replay calculators rebuilt from the sigcalc boundary.
+func windowBefore(rw *RecordedWindow, rp *RecordedPass, opt ReplayOptions, demod *lora.Demodulator) (*Window, error) {
 	if opt.Stage == StageDetect {
 		if opt.Pass != 1 {
 			return nil, errors.New("stagegraph: detect only runs in pass 1")
@@ -409,7 +358,7 @@ func (rec *Recording) windowBefore(rw *RecordedWindow, rp *RecordedPass, opt Rep
 	if err != nil {
 		return nil, err
 	}
-	sb, err := buildSigCalc(sigPkts, rec.demodulator())
+	sb, err := buildSigCalc(sigPkts, demod)
 	if err != nil {
 		return nil, err
 	}

@@ -1,4 +1,4 @@
-package core
+package stagegraph
 
 import (
 	"bytes"
@@ -29,7 +29,7 @@ func TestReceiverTruncatedPacketAtTraceEnd(t *testing.T) {
 	cut := int(recs[0].StartSample) + recs[0].NumSamples/2
 	tr.Antennas[0] = tr.Antennas[0][:cut]
 
-	r := NewReceiver(Config{Params: p, UseBEC: true})
+	r := New(Config{Params: p, UseBEC: true})
 	decoded := r.Decode(tr)
 	for _, d := range decoded {
 		if bytes.Equal(d.Payload, payload) {
@@ -49,7 +49,7 @@ func TestReceiverPreambleOnlyAtTraceEnd(t *testing.T) {
 	tr, recs := b.Build()
 	cut := int(recs[0].StartSample) + p.PreambleSamples() + p.SymbolSamples()
 	tr.Antennas[0] = tr.Antennas[0][:cut]
-	r := NewReceiver(Config{Params: p, UseBEC: true})
+	r := New(Config{Params: p, UseBEC: true})
 	if decoded := r.Decode(tr); len(decoded) != 0 {
 		t.Errorf("decoded %d packets from a preamble-only capture", len(decoded))
 	}
@@ -81,7 +81,7 @@ func TestReceiverClippedIQ(t *testing.T) {
 		}
 		tr.Antennas[0][i] = complex(re, im)
 	}
-	r := NewReceiver(Config{Params: p, UseBEC: true})
+	r := New(Config{Params: p, UseBEC: true})
 	decoded := r.Decode(tr)
 	found := false
 	for _, d := range decoded {
@@ -102,7 +102,7 @@ func TestReceiverNeverFalselyDecodes(t *testing.T) {
 		b := trace.NewBuilder(p, 0.8, 1, rng)
 		b.NoisePower = 2.5
 		tr, _ := b.Build()
-		r := NewReceiver(Config{Params: p, UseBEC: true, Seed: seed})
+		r := New(Config{Params: p, UseBEC: true, Seed: seed})
 		if decoded := r.Decode(tr); len(decoded) != 0 {
 			t.Errorf("seed %d: %d false decodes from noise", seed, len(decoded))
 		}
@@ -121,7 +121,7 @@ func TestReceiverTwoAntennas(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr, _ := b.Build()
-	r := NewReceiver(Config{Params: p, UseBEC: true})
+	r := New(Config{Params: p, UseBEC: true})
 	decoded := r.Decode(tr)
 	found := false
 	for _, d := range decoded {
@@ -144,7 +144,7 @@ func TestReceiverMismatchedSF(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr, _ := b.Build()
-	r := NewReceiver(Config{Params: lora.MustParams(8, 4, 125e3, 8), UseBEC: true})
+	r := New(Config{Params: lora.MustParams(8, 4, 125e3, 8), UseBEC: true})
 	if decoded := r.Decode(tr); len(decoded) != 0 {
 		t.Errorf("SF mismatch produced %d decodes", len(decoded))
 	}
@@ -165,7 +165,7 @@ func TestReceiverBackToBackPackets(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr, _ := b.Build()
-	r := NewReceiver(Config{Params: p, UseBEC: true})
+	r := New(Config{Params: p, UseBEC: true})
 	decoded := r.Decode(tr)
 	got := map[string]bool{}
 	for _, d := range decoded {
@@ -190,7 +190,7 @@ func TestReceiverIdenticalStartTimes(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr, recs := b.Build()
-	r := NewReceiver(Config{Params: p, UseBEC: true})
+	r := New(Config{Params: p, UseBEC: true})
 	decoded := r.Decode(tr)
 	if countDecoded(decoded, recs) < 1 {
 		t.Error("no packet decoded from simultaneous starts")
@@ -215,11 +215,11 @@ func TestListDecodeRescuesBorderlinePackets(t *testing.T) {
 			}
 		}
 		tr, recs := b.Build()
-		plain := NewReceiver(Config{Params: p, UseBEC: true, Seed: seed})
+		plain := New(Config{Params: p, UseBEC: true, Seed: seed})
 		plainDecoded := plain.Decode(tr)
 		plainTotal += countDecoded(plainDecoded, recs)
 
-		list := NewReceiver(Config{Params: p, UseBEC: true, ListDecode: true, Seed: seed})
+		list := New(Config{Params: p, UseBEC: true, ListDecode: true, Seed: seed})
 		listDecoded := list.Decode(tr)
 		listTotal += countDecoded(listDecoded, recs)
 	}
@@ -236,7 +236,7 @@ func TestListDecodeNeverFalsePositive(t *testing.T) {
 	b := trace.NewBuilder(p, 0.8, 1, rng)
 	b.NoisePower = 2
 	tr, _ := b.Build()
-	r := NewReceiver(Config{Params: p, UseBEC: true, ListDecode: true})
+	r := New(Config{Params: p, UseBEC: true, ListDecode: true})
 	if decoded := r.Decode(tr); len(decoded) != 0 {
 		t.Errorf("%d false decodes with list decoding", len(decoded))
 	}

@@ -79,23 +79,17 @@ func MedianScratch(x, scratch []float64) float64 {
 	return MedianInPlace(s)
 }
 
-// MedianScratchHint is MedianScratch with a caller-supplied pivot for the
-// first selection round. The hint never changes the result — selection
-// returns the exact order statistics under any pivot sequence — but a hint
-// near the median (a neighboring scan window's, say) shrinks the active
-// range to the rank error in one pass, and the hint round reads x directly,
-// skipping MedianScratch's protective copy. Callers with no usable hint
-// (NaN, or a cold start) get plain MedianScratch behavior.
-func MedianScratchHint(x, scratch []float64, hint float64) float64 {
-	med, _ := MedianArgMin(x, scratch, hint)
-	return med
-}
-
-// MedianArgMin returns MedianScratchHint's median together with the index of
-// the first occurrence of the minimum of x, folded into the hint round's
-// streaming pass so the detection scan walks each window once for both its
-// selectivity threshold and its peak-finder rotation. For empty x it returns
-// (0, 0).
+// MedianArgMin returns the median of x (the bits of MedianScratch) together
+// with the index of the first occurrence of the minimum of x. hint is a
+// caller-supplied pivot for the first selection round. The hint never
+// changes the result — selection returns the exact order statistics under
+// any pivot sequence — but a hint near the median (a neighboring scan
+// window's, say) shrinks the active range to the rank error in one pass, and
+// the hint round reads x directly, skipping MedianScratch's protective copy.
+// The argmin is folded into that streaming pass, so the detection scan walks
+// each window once for both its selectivity threshold and its peak-finder
+// rotation. Callers with no usable hint (NaN, or a cold start) get plain
+// MedianScratch behavior. For empty x it returns (0, 0).
 func MedianArgMin(x, scratch []float64, hint float64) (med float64, argMin int) {
 	n := len(x)
 	if n > 16 && cap(scratch) >= 2*n && !math.IsNaN(hint) {

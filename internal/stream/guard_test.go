@@ -5,8 +5,8 @@ import (
 	"sync"
 	"testing"
 
-	"tnb/internal/core"
 	"tnb/internal/metrics"
+	"tnb/internal/stagegraph"
 )
 
 // TestReentrantFeedRejected drives Feed from the receiver's own callback
@@ -56,7 +56,7 @@ func TestStreamMetricsRecorded(t *testing.T) {
 	reg := metrics.NewRegistry()
 	met := NewMetrics(reg)
 	s, err := New(Config{
-		Receiver: core.Config{Params: streamParams(), UseBEC: true},
+		Receiver: stagegraph.Config{Params: streamParams(), UseBEC: true},
 		Metrics:  met,
 	})
 	if err != nil {

@@ -7,9 +7,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"tnb/internal/core"
 	"tnb/internal/faultinject"
 	"tnb/internal/metrics"
+	"tnb/internal/stagegraph"
 )
 
 // TestFeedBufferCeiling checks the hard ceiling: an oversized chunk is
@@ -19,7 +19,7 @@ func TestFeedBufferCeiling(t *testing.T) {
 	reg := metrics.NewRegistry()
 	met := NewMetrics(reg)
 	s, err := New(Config{
-		Receiver: core.Config{Params: streamParams(), UseBEC: true},
+		Receiver: stagegraph.Config{Params: streamParams(), UseBEC: true},
 		Metrics:  met,
 	})
 	if err != nil {
@@ -59,7 +59,7 @@ func TestFeedBufferCeiling(t *testing.T) {
 
 func TestNewRejectsTinyCeiling(t *testing.T) {
 	_, err := New(Config{
-		Receiver:         core.Config{Params: streamParams()},
+		Receiver:         stagegraph.Config{Params: streamParams()},
 		MaxBufferSamples: 10,
 	})
 	if err == nil {
@@ -69,7 +69,7 @@ func TestNewRejectsTinyCeiling(t *testing.T) {
 
 func TestNegativeCeilingDisables(t *testing.T) {
 	s, err := New(Config{
-		Receiver:         core.Config{Params: streamParams()},
+		Receiver:         stagegraph.Config{Params: streamParams()},
 		MaxBufferSamples: -1,
 	})
 	if err != nil {
@@ -91,7 +91,7 @@ func TestFeedSanitizesNonFinite(t *testing.T) {
 	reg := metrics.NewRegistry()
 	met := NewMetrics(reg)
 	s, err := New(Config{
-		Receiver: core.Config{Params: streamParams(), UseBEC: true},
+		Receiver: stagegraph.Config{Params: streamParams(), UseBEC: true},
 		Metrics:  met,
 	})
 	if err != nil {
@@ -151,7 +151,7 @@ func TestFeedCleanStreamNoSanitizeCost(t *testing.T) {
 	reg := metrics.NewRegistry()
 	met := NewMetrics(reg)
 	s, err := New(Config{
-		Receiver: core.Config{Params: streamParams()},
+		Receiver: stagegraph.Config{Params: streamParams()},
 		Metrics:  met,
 	})
 	if err != nil {

@@ -15,9 +15,9 @@ import (
 	"math"
 	"sync/atomic"
 
-	"tnb/internal/core"
 	"tnb/internal/lora"
 	"tnb/internal/obs"
+	"tnb/internal/stagegraph"
 )
 
 // ErrConcurrentUse is returned by Feed and Flush when a call overlaps
@@ -41,10 +41,10 @@ func (e *OverflowError) Error() string {
 		e.Buffered, e.Incoming, e.Limit)
 }
 
-// Decoded is a stream-level decode: a core decode with the stream-absolute
-// sample position.
+// Decoded is a stream-level decode: a receiver decode with the
+// stream-absolute sample position.
 type Decoded struct {
-	core.Decoded
+	stagegraph.Decoded
 	// AbsStart is the packet start in samples since the first Feed call.
 	AbsStart float64
 }
@@ -55,7 +55,7 @@ type Decoded struct {
 // contract is enforced by a cheap guard — a reentrant call returns
 // ErrConcurrentUse instead of corrupting the buffer.
 type Streamer struct {
-	rx     *core.Receiver
+	rx     *stagegraph.Pipeline
 	params lora.Params
 	met    *Metrics
 	tracer *obs.Tracer
@@ -78,7 +78,7 @@ type Streamer struct {
 
 // Config tunes the streamer.
 type Config struct {
-	Receiver core.Config
+	Receiver stagegraph.Config
 	// MaxPayloadLen bounds the packet length the overlap must cover
 	// (0 → the receiver's own default of 48 bytes).
 	MaxPayloadLen int
@@ -130,7 +130,7 @@ func New(cfg Config) (*Streamer, error) {
 			maxBuffer, window+overlap)
 	}
 	return &Streamer{
-		rx:        core.NewReceiver(cfg.Receiver),
+		rx:        stagegraph.New(cfg.Receiver),
 		params:    p,
 		met:       cfg.Metrics,
 		tracer:    cfg.Receiver.Tracer,

@@ -5,9 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"tnb/internal/core"
 	"tnb/internal/lora"
 	"tnb/internal/obs"
+	"tnb/internal/stagegraph"
 	"tnb/internal/trace"
 )
 
@@ -32,7 +32,7 @@ func buildLongTrace(t *testing.T, seed int64, n int, durSec float64) (*trace.Tra
 
 func newStreamer(t *testing.T) *Streamer {
 	t.Helper()
-	s, err := New(Config{Receiver: core.Config{Params: streamParams(), UseBEC: true}})
+	s, err := New(Config{Receiver: stagegraph.Config{Params: streamParams(), UseBEC: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestStreamerMatchesWholeTraceDecode(t *testing.T) {
 	tr, _ := buildLongTrace(t, 800, 8, 3.0)
 
 	// Reference: one-shot decode.
-	rx := core.NewReceiver(core.Config{Params: streamParams(), UseBEC: true})
+	rx := stagegraph.New(stagegraph.Config{Params: streamParams(), UseBEC: true})
 	ref := map[string]bool{}
 	for _, d := range rx.Decode(tr) {
 		ref[string(d.Payload)] = true
@@ -202,11 +202,11 @@ func TestStreamerEmptyAndFlushOnly(t *testing.T) {
 }
 
 func TestNewStreamerValidation(t *testing.T) {
-	if _, err := New(Config{Receiver: core.Config{Params: lora.Params{}}}); err == nil {
+	if _, err := New(Config{Receiver: stagegraph.Config{Params: lora.Params{}}}); err == nil {
 		t.Error("invalid params accepted")
 	}
 	if _, err := New(Config{
-		Receiver:      core.Config{Params: streamParams()},
+		Receiver:      stagegraph.Config{Params: streamParams()},
 		WindowSamples: 10, // smaller than the overlap
 	}); err == nil {
 		t.Error("window smaller than overlap accepted")
@@ -220,7 +220,7 @@ func TestStreamerTraceEvents(t *testing.T) {
 	tr, _ := buildLongTrace(t, 806, 4, 2.0)
 	var jsonl bytes.Buffer
 	tracer := obs.New(obs.Options{Sink: &jsonl, RingSize: 32})
-	s, err := New(Config{Receiver: core.Config{
+	s, err := New(Config{Receiver: stagegraph.Config{
 		Params: streamParams(), UseBEC: true, Tracer: tracer}})
 	if err != nil {
 		t.Fatal(err)

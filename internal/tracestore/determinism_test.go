@@ -6,9 +6,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"tnb/internal/core"
 	"tnb/internal/lora"
 	"tnb/internal/obs"
+	"tnb/internal/stagegraph"
 	"tnb/internal/trace"
 )
 
@@ -38,7 +38,7 @@ func TestQueryDeterministicAcrossWorkerCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		tracer := obs.New(obs.Options{Spill: st}).WithOrigin(obs.Origin{Gateway: "gw-0", Channel: 3, SF: 8})
-		r := core.NewReceiver(core.Config{Params: p, UseBEC: true, Seed: 7, Workers: workers, Tracer: tracer})
+		r := stagegraph.New(stagegraph.Config{Params: p, UseBEC: true, Seed: 7, Workers: workers, Tracer: tracer})
 		if len(r.Decode(tr)) == 0 {
 			t.Fatalf("workers=%d: decoded nothing", workers)
 		}

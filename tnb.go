@@ -25,9 +25,9 @@ import (
 
 	"tnb/internal/baseline"
 	"tnb/internal/bec"
-	"tnb/internal/core"
 	"tnb/internal/lora"
 	"tnb/internal/sim"
+	"tnb/internal/stagegraph"
 	"tnb/internal/thrive"
 	"tnb/internal/trace"
 )
@@ -44,11 +44,11 @@ type (
 	// TraceBuilder composes synthetic multi-node traces.
 	TraceBuilder = trace.Builder
 	// Receiver is the TnB receiver.
-	Receiver = core.Receiver
+	Receiver = stagegraph.Pipeline
 	// ReceiverConfig selects the receiver variant.
-	ReceiverConfig = core.Config
+	ReceiverConfig = stagegraph.Config
 	// Decoded is one decoded packet.
-	Decoded = core.Decoded
+	Decoded = stagegraph.Decoded
 	// Block is a LoRa code block (rows = codewords).
 	Block = lora.Block
 	// BECResult is the outcome of BEC block decoding.
@@ -90,7 +90,7 @@ func Params(sf, cr int) LoRaParams {
 }
 
 // NewReceiver builds a TnB receiver.
-func NewReceiver(cfg ReceiverConfig) *Receiver { return core.NewReceiver(cfg) }
+func NewReceiver(cfg ReceiverConfig) *Receiver { return stagegraph.New(cfg) }
 
 // NewTraceBuilder creates a builder for a synthetic trace of the given
 // duration (seconds) and antenna count.
