@@ -102,15 +102,19 @@ type candidate struct {
 
 // refineScratch is one worker's reusable buffers for steps 2–4: the
 // accumulators refine and validatePreamble used to allocate per window and
-// per hypothesis, the coherent sums of evalQ, and the median scratch of
-// peakNearZero.
+// per hypothesis, the rows, rotations, coherent sums and results of the Q
+// search, and the median scratch of peakNearZero.
 type refineScratch struct {
 	acc     []float64    // summed signal vector (validate + down location)
 	y       []float64    // per-antenna magnitude vector
 	buf     []complex128 // dechirp/FFT buffer
-	upSum   []complex128 // coherent preamble sum (evalQ)
-	downSum []complex128 // coherent downchirp sum (evalQ)
+	upSum   []complex128 // coherent preamble sum (Q)
+	downSum []complex128 // coherent downchirp sum (Q)
 	med     []float64    // MedianScratch working space, 2n for the distribute path
+
+	rows lora.PreambleRows        // dechirped rows of the current Q-search start
+	rot  [2]lora.PreambleRotation // CFO rotations of the phase-2 lines
+	qres []qResult                // phase-2 results, line-major
 }
 
 func (d *Detector) newRefineScratch() *refineScratch {
@@ -562,15 +566,6 @@ func peakNearZero(acc, med []float64) (float64, bool) {
 		return best, best > 0
 	}
 	return best, best >= 8*floor
-}
-
-// binDist is the circular distance between two bin positions.
-func binDist(a, b float64, n int) float64 {
-	d := math.Abs(math.Mod(a-b, float64(n)))
-	if d > float64(n)/2 {
-		d = float64(n) - d
-	}
-	return d
 }
 
 func dedup(pkts []Packet, tol float64) []Packet {

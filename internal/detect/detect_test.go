@@ -185,18 +185,6 @@ func TestResolveAmbiguity(t *testing.T) {
 	}
 }
 
-func TestBinDist(t *testing.T) {
-	if binDist(0, 255, 256) != 1 {
-		t.Error("circular distance across wrap failed")
-	}
-	if binDist(10, 10, 256) != 0 {
-		t.Error("zero distance failed")
-	}
-	if binDist(0, 128, 256) != 128 {
-		t.Error("max distance failed")
-	}
-}
-
 func BenchmarkDetectOnePacketTrace(b *testing.B) {
 	p := lora.MustParams(8, 4, 125e3, 8)
 	rng := rand.New(rand.NewSource(91))

@@ -106,9 +106,11 @@ func BenchmarkScanPreambles(b *testing.B) {
 	}
 }
 
-// BenchmarkEvalQ measures one Q evaluation — the unit of the §7 fractional
-// search, run hundreds of times per candidate — at a detection-like
-// fractional start with a nonzero CFO hypothesis.
+// BenchmarkEvalQ measures one stand-alone Q evaluation — dechirp the start,
+// build the CFO's rotations, transform and sum — at a detection-like
+// fractional start with a nonzero CFO hypothesis. It is the cost of one
+// hypothesis with nothing shared; BenchmarkFractionalSearch measures the
+// search that shares rows and rotations across its 64 hypotheses.
 func BenchmarkEvalQ(b *testing.B) {
 	p := lora.MustParams(8, 4, 125e3, 8)
 	tr := buildScanTrace(b, p, 7)
@@ -119,6 +121,22 @@ func BenchmarkEvalQ(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := d.evalQ(tr.Antennas, 20000.37, -1.8, 0.25, -0.3, rs)
 		if r.energy <= 0 {
+			b.Fatal("no energy")
+		}
+	}
+}
+
+// BenchmarkFractionalSearch measures one full 3-phase §7 search (17 + 38 + 9
+// hypotheses) from the same start and CFO as BenchmarkEvalQ.
+func BenchmarkFractionalSearch(b *testing.B) {
+	p := lora.MustParams(8, 4, 125e3, 8)
+	tr := buildScanTrace(b, p, 7)
+	d := NewDetector(p)
+	rs := d.newRefineScratch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, q := d.fractionalSearch(tr.Antennas, 20000.37, -1.8, rs); q < 0 {
 			b.Fatal("no energy")
 		}
 	}

@@ -18,49 +18,24 @@ type qResult struct {
 	downBin int
 }
 
-// evalQ computes Q at the hypothesis (start+δt, cfo+δf): the complex signal
-// vectors of the 8 preamble upchirps are summed coherently (phase-continuous
-// CFO correction) and likewise the 2 full downchirps; Q is the summed peak
-// energy of both. The sums and the per-antenna spectrum live in the worker's
-// scratch — evalQ runs hundreds of times per candidate, so it must not
-// allocate.
+// evalQ computes Q at the single hypothesis (start+δt, cfo+δf): the
+// complex signal vectors of the 8 preamble upchirps are summed coherently
+// (phase-continuous CFO correction) and likewise the 2 full downchirps; Q is
+// the summed peak energy of both. It is fractionalSearch's path for one
+// hypothesis: dechirp the start, build the CFO's rotations, combine.
 func (d *Detector) evalQ(antennas [][]complex128, start, cfo, dt, df float64, rs *refineScratch) qResult {
-	sym := d.p.SymbolSamples()
-	upSum, downSum := rs.upSum, rs.downSum
-	for i := range upSum {
-		upSum[i] = 0
-	}
-	for i := range downSum {
-		downSum[i] = 0
-	}
-	s0 := start + dt
-	c := cfo + df
-	for k := 0; k < lora.PreambleUpchirps; k++ {
-		s := s0 + float64(k*sym)
-		if s < 0 {
-			continue
-		}
-		for _, ant := range antennas {
-			d.demod.ComplexSignalVectorInto(rs.buf, ant, s, c, k)
-			for i := range upSum {
-				upSum[i] += rs.buf[i]
-			}
-		}
-	}
-	for k := 0; k < 2; k++ {
-		s := s0 + float64((10+k)*sym)
-		if s < 0 {
-			continue
-		}
-		for _, ant := range antennas {
-			d.demod.ComplexDownVectorInto(rs.buf, ant, s, c, 10+k)
-			for i := range downSum {
-				downSum[i] += rs.buf[i]
-			}
-		}
-	}
-	ub, ue := maxEnergy(upSum)
-	db, de := maxEnergy(downSum)
+	d.demod.DechirpPreamble(&rs.rows, antennas, start+dt)
+	d.demod.BuildPreambleRotation(&rs.rot[0], cfo+df)
+	return d.evalRows(&rs.rot[0], rs)
+}
+
+// evalRows evaluates Q for the rows dechirped into rs.rows under rotation
+// rot. The sums live in the worker's scratch: the search runs this dozens of
+// times per candidate, so it must not allocate.
+func (d *Detector) evalRows(rot *lora.PreambleRotation, rs *refineScratch) qResult {
+	d.demod.PreambleSpectra(rs.upSum, rs.downSum, &rs.rows, rot)
+	ub, ue := maxEnergy(rs.upSum)
+	db, de := maxEnergy(rs.downSum)
 	return qResult{energy: ue + de, upBin: ub, downBin: db}
 }
 
@@ -91,12 +66,21 @@ func (d *Detector) qStar(r qResult) float64 {
 // fractionalSearch runs the paper's 3-phase search and returns the
 // fractional timing (receiver samples), fractional CFO (cycles/symbol) and
 // the final Q energy.
+//
+// Every distinct piece of work is done once per search: a start is
+// dechirped once for all the CFO hypotheses evaluated at it, a CFO's
+// rotations are built once for all the starts, and phase 3 reuses the
+// phase-2 results that lie on its grid. Hypotheses are still compared in
+// the order of the plain per-hypothesis search, so ties break the same way,
+// and each Q value is bit-identical to evalQ's.
 func (d *Detector) fractionalSearch(antennas [][]complex128, start, cfo float64, rs *refineScratch) (dt, df, q float64) {
 	// Phase 1: δt = 0, δf from −1 to 0 in steps of 1/16; maximize Q.
+	d.demod.DechirpPreamble(&rs.rows, antennas, start)
 	bestF, bestQ := 0.0, -1.0
 	for i := 0; i <= 16; i++ {
 		f := -1 + float64(i)/16
-		r := d.evalQ(antennas, start, cfo, 0, f, rs)
+		d.demod.BuildPreambleRotation(&rs.rot[0], cfo+f)
+		r := d.evalRows(&rs.rot[0], rs)
 		if r.energy > bestQ {
 			bestQ, bestF = r.energy, f
 		}
@@ -105,16 +89,33 @@ func (d *Detector) fractionalSearch(antennas [][]complex128, start, cfo float64,
 	// Phase 2: δt swept at half-sample steps on two lines δf* and δf*+1;
 	// maximize Q*, which kills the ±1-cycle CFO alias. The paper sweeps
 	// δt ∈ [−1, 1]; our coarse stage quantizes the timing to half a chip
-	// (OSF/2 receiver samples), so the sweep covers that full range.
+	// (OSF/2 receiver samples), so the sweep covers that full range. Each δt
+	// is dechirped once for both lines; res[l·steps+i] is line l at step i.
 	halfChip := float64(d.p.OSF) / 2
+	steps := int(4*halfChip) + 3
+	lines := [2]float64{bestF, bestF + 1}
+	for l, f := range lines {
+		d.demod.BuildPreambleRotation(&rs.rot[l], cfo+f)
+	}
+	if cap(rs.qres) < 2*steps {
+		rs.qres = make([]qResult, 2*steps)
+	}
+	res := rs.qres[:2*steps]
+	for i := 0; i < steps; i++ {
+		t := -halfChip - 0.5 + float64(i)/2
+		d.demod.DechirpPreamble(&rs.rows, antennas, start+t)
+		for l := range lines {
+			res[l*steps+i] = d.evalRows(&rs.rot[l], rs)
+		}
+	}
 	bestT, bestF2, bestQS := 0.0, bestF, -1.0
-	for _, f := range []float64{bestF, bestF + 1} {
-		steps := int(4*halfChip) + 3
+	bestL, bestI := 0, 0
+	for l, f := range lines {
 		for i := 0; i < steps; i++ {
 			t := -halfChip - 0.5 + float64(i)/2
-			r := d.evalQ(antennas, start, cfo, t, f, rs)
-			if qs := d.qStar(r); qs > bestQS {
+			if qs := d.qStar(res[l*steps+i]); qs > bestQS {
 				bestQS, bestT, bestF2 = qs, t, f
+				bestL, bestI = l, i
 			}
 		}
 	}
@@ -124,12 +125,21 @@ func (d *Detector) fractionalSearch(antennas [][]complex128, start, cfo float64,
 		return 0, bestF, bestQ
 	}
 
-	// Phase 3: δt from bestT−1/2 to bestT+1/2 in steps of 1/U.
+	// Phase 3: δt from bestT−1/2 to bestT+1/2 in steps of 1/U. A δt on the
+	// half-sample grid (2i/U integral) is phase-2 step bestI−1+2i/U of the
+	// winning line — the same float, since every value involved is a small
+	// multiple of 1/2 — so its result is reused when that step exists.
 	u := d.p.OSF
 	finalT, finalQ := bestT, -1.0
 	for i := 0; i <= u; i++ {
 		t := bestT - 0.5 + float64(i)/float64(u)
-		r := d.evalQ(antennas, start, cfo, t, bestF2, rs)
+		var r qResult
+		if j := bestI - 1 + 2*i/u; 2*i%u == 0 && j >= 0 && j < steps {
+			r = res[bestL*steps+j]
+		} else {
+			d.demod.DechirpPreamble(&rs.rows, antennas, start+t)
+			r = d.evalRows(&rs.rot[bestL], rs)
+		}
 		if qs := d.qStar(r); qs > finalQ {
 			finalQ, finalT = qs, t
 		}

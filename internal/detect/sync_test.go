@@ -1,10 +1,12 @@
 package detect
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"tnb/internal/dsp"
 	"tnb/internal/lora"
 	"tnb/internal/trace"
 )
@@ -107,5 +109,219 @@ func TestFractionalSearchConvergesFromCoarseOffsets(t *testing.T) {
 		if e := math.Abs(gotCFO - cfo); e > 1.0/12 {
 			t.Errorf("offset (%g, %g): CFO error %.4f cycles", c.dt, c.df, e)
 		}
+	}
+}
+
+// evalQOracle is the per-hypothesis Q evaluation the shared-row search
+// replaced, kept as the reference it must match bit for bit: every row is
+// dechirped with its CFO correction fused in, transformed on its own and
+// added to the coherent sums.
+func (d *Detector) evalQOracle(antennas [][]complex128, start, cfo, dt, df float64, rs *refineScratch) qResult {
+	sym := d.p.SymbolSamples()
+	plan := dsp.MustPlan(d.p.N())
+	upSum, downSum := rs.upSum, rs.downSum
+	for i := range upSum {
+		upSum[i] = 0
+	}
+	for i := range downSum {
+		downSum[i] = 0
+	}
+	s0 := start + dt
+	c := cfo + df
+	for k := 0; k < lora.PreambleUpchirps; k++ {
+		s := s0 + float64(k*sym)
+		if s < 0 {
+			continue
+		}
+		for _, ant := range antennas {
+			d.demod.DechirpInto(rs.buf, ant, s, c, k)
+			plan.Forward(rs.buf)
+			for i := range upSum {
+				upSum[i] += rs.buf[i]
+			}
+		}
+	}
+	for k := 0; k < 2; k++ {
+		s := s0 + float64((10+k)*sym)
+		if s < 0 {
+			continue
+		}
+		for _, ant := range antennas {
+			d.demod.DechirpDownInto(rs.buf, ant, s, c, 10+k)
+			plan.Forward(rs.buf)
+			for i := range downSum {
+				downSum[i] += rs.buf[i]
+			}
+		}
+	}
+	ub, ue := maxEnergy(upSum)
+	db, de := maxEnergy(downSum)
+	return qResult{energy: ue + de, upBin: ub, downBin: db}
+}
+
+// fractionalSearchOracle is the 3-phase search as one evalQOracle call per
+// hypothesis, in the order fractionalSearch must compare them.
+func (d *Detector) fractionalSearchOracle(antennas [][]complex128, start, cfo float64, rs *refineScratch) (dt, df, q float64) {
+	// Phase 1: δt = 0, δf from −1 to 0 in steps of 1/16; maximize Q.
+	bestF, bestQ := 0.0, -1.0
+	for i := 0; i <= 16; i++ {
+		f := -1 + float64(i)/16
+		r := d.evalQOracle(antennas, start, cfo, 0, f, rs)
+		if r.energy > bestQ {
+			bestQ, bestF = r.energy, f
+		}
+	}
+
+	// Phase 2: δt swept at half-sample steps on two lines δf* and δf*+1;
+	// maximize Q*.
+	halfChip := float64(d.p.OSF) / 2
+	bestT, bestF2, bestQS := 0.0, bestF, -1.0
+	for _, f := range []float64{bestF, bestF + 1} {
+		steps := int(4*halfChip) + 3
+		for i := 0; i < steps; i++ {
+			t := -halfChip - 0.5 + float64(i)/2
+			r := d.evalQOracle(antennas, start, cfo, t, f, rs)
+			if qs := d.qStar(r); qs > bestQS {
+				bestQS, bestT, bestF2 = qs, t, f
+			}
+		}
+	}
+	if bestQS < 0 {
+		return 0, bestF, bestQ
+	}
+
+	// Phase 3: δt from bestT−1/2 to bestT+1/2 in steps of 1/U.
+	u := d.p.OSF
+	finalT, finalQ := bestT, -1.0
+	for i := 0; i <= u; i++ {
+		t := bestT - 0.5 + float64(i)/float64(u)
+		r := d.evalQOracle(antennas, start, cfo, t, bestF2, rs)
+		if qs := d.qStar(r); qs > finalQ {
+			finalQ, finalT = qs, t
+		}
+	}
+	if finalQ < 0 {
+		return bestT, bestF2, bestQS
+	}
+	return finalT, bestF2, finalQ
+}
+
+// diffTrace renders two colliding packets on two antennas for the
+// differential tests, returning the trace, the first packet's start and its
+// CFO in cycles per symbol.
+func diffTrace(t *testing.T, p lora.Params, seed int64) ([][]complex128, float64, float64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	pkt := p.PacketSamples(8)
+	b := trace.NewBuilder(p, float64(3*pkt)/p.SampleRate(), 2, rng)
+	start := float64(pkt/2) + 0.37*float64(p.OSF)
+	cfoHz := 1830.0
+	for i, st := range []float64{start, start + float64(pkt)/3} {
+		payload := make([]uint8, 8)
+		rng.Read(payload)
+		if err := b.AddPacket(i, 0, payload, st, 12-float64(3*i), cfoHz-float64(2700*i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr, _ := b.Build()
+	return tr.Antennas, start, cfoHz * p.SymbolDuration()
+}
+
+// TestFractionalSearchMatchesOracle is the differential test of the
+// shared-row search against the per-hypothesis oracle: (δt, δf, Q) must
+// agree bit for bit. The cases cover SF 7–9, every OSF (phase 3's reuse
+// index depends on it), one and two antennas, fractional starts, integer
+// starts whose downchirps run past the end of the trace (the fused kernel's
+// unrotated zero tail), negative starts (rows left out of the sums) and
+// CFOs for which a hypothesis has exactly zero correction.
+func TestFractionalSearchMatchesOracle(t *testing.T) {
+	mismatches, searches := 0, 0
+	for sf := 7; sf <= 9; sf++ {
+		for _, osf := range []int{1, 2, 4, 8} {
+			p := lora.MustParams(sf, 4, 125e3, osf)
+			ants, start, cfo := diffTrace(t, p, int64(100*sf+osf))
+			sym := float64(p.SymbolSamples())
+			end := float64(len(ants[0]))
+			cases := []struct{ start, cfo float64 }{
+				{start, cfo},
+				{start + 0.25*float64(osf), cfo - 0.4},
+				{start - 1.5, 0.5},        // phase 1 reaches δf = −0.5: zero CFO
+				{start + 3, 0},            // phase 1 ends at δf = 0: zero CFO
+				{end - 6*sym, cfo},        // integer start, downchirps past the end
+				{end - 11*sym + 0.5, cfo}, // fractional start, last downchirp past the end
+				{-3*sym - 0.25, cfo},      // first rows before sample 0
+				{-2 * sym, 0.5},           // integer negative start, zero CFO
+			}
+			for _, nAnt := range []int{1, 2} {
+				d := NewDetector(p)
+				rs := d.newRefineScratch()
+				for ci, c := range cases {
+					gt, gf, gq := d.fractionalSearch(ants[:nAnt], c.start, c.cfo, rs)
+					wt, wf, wq := d.fractionalSearchOracle(ants[:nAnt], c.start, c.cfo, d.newRefineScratch())
+					searches++
+					if math.Float64bits(gt) != math.Float64bits(wt) ||
+						math.Float64bits(gf) != math.Float64bits(wf) ||
+						math.Float64bits(gq) != math.Float64bits(wq) {
+						mismatches++
+						t.Errorf("SF%d OSF%d ants=%d case %d: search (%v, %v, %v), oracle (%v, %v, %v)",
+							sf, osf, nAnt, ci, gt, gf, gq, wt, wf, wq)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d searches, %d mismatches", searches, mismatches)
+}
+
+// TestEvalQMatchesOracle compares single Q evaluations, including the bins,
+// at random hypotheses around a packet and at the trace edges.
+func TestEvalQMatchesOracle(t *testing.T) {
+	p := lora.MustParams(8, 4, 125e3, 4)
+	ants, start, cfo := diffTrace(t, p, 3)
+	d := NewDetector(p)
+	rs := d.newRefineScratch()
+	rng := rand.New(rand.NewSource(4))
+	sym := float64(p.SymbolSamples())
+	for i := 0; i < 200; i++ {
+		s := start + (rng.Float64()-0.5)*4*sym
+		switch i % 4 {
+		case 1:
+			s = math.Round(s) // integer start
+		case 2:
+			s = float64(len(ants[0])) - float64(rng.Intn(12*int(sym))) // tail
+		case 3:
+			s = -float64(rng.Intn(11 * int(sym))) // head
+		}
+		dt := float64(rng.Intn(9)-4) / 2
+		df := float64(rng.Intn(33)-16) / 16
+		c := cfo
+		if i%5 == 0 {
+			c = -df // zero net CFO
+		}
+		got := d.evalQ(ants[:1+i%2], s, c, dt, df, rs)
+		want := d.evalQOracle(ants[:1+i%2], s, c, dt, df, d.newRefineScratch())
+		if got.upBin != want.upBin || got.downBin != want.downBin ||
+			math.Float64bits(got.energy) != math.Float64bits(want.energy) {
+			t.Fatalf("hypothesis %d (start %v, cfo %v, dt %v, df %v): %+v, oracle %+v", i, s, c, dt, df, got, want)
+		}
+	}
+}
+
+// TestFractionalSearchSteadyStateAllocs pins the search's zero-allocation
+// contract once its scratch has grown to the antenna count.
+func TestFractionalSearchSteadyStateAllocs(t *testing.T) {
+	for _, nAnt := range []int{1, 2} {
+		t.Run(fmt.Sprintf("ants=%d", nAnt), func(t *testing.T) {
+			p := lora.MustParams(7, 4, 125e3, 8)
+			ants, start, cfo := diffTrace(t, p, 5)
+			d := NewDetector(p)
+			rs := d.newRefineScratch()
+			d.fractionalSearch(ants[:nAnt], start, cfo, rs)
+			if n := testing.AllocsPerRun(5, func() {
+				d.fractionalSearch(ants[:nAnt], start, cfo, rs)
+			}); n != 0 {
+				t.Errorf("fractionalSearch allocates %v times per call after warm-up", n)
+			}
+		})
 	}
 }

@@ -199,9 +199,88 @@ func (p *FFTPlan) ForwardMagBatchRev(y []float64, x []complex128, rows int) {
 	p.forwardMagStages(y, x, rows*n)
 }
 
+// ForwardSumRev adds the forward DFTs of rows stacked segments of x into
+// sum: sum[i] += FFT(row r)[i] for r = 0, 1, …, rows−1 in that order. Each
+// row's samples must already be stored in bit-reversed order (see Rev), and
+// each row is transformed exactly as Forward would — the same butterflies
+// with the same operands in the same order — so the result is bit-identical
+// to calling Forward on every row and adding the spectra one row at a time.
+// The final stage adds its butterfly outputs straight into sum instead of
+// storing the spectrum. x is consumed as scratch; len(sum) must equal the
+// plan size.
+func (p *FFTPlan) ForwardSumRev(sum, x []complex128, rows int) {
+	n := p.n
+	if len(sum) != n || len(x) != rows*n {
+		panic(fmt.Sprintf("dsp: ForwardSumRev lengths (%d, %d) != plan size %d and %d rows",
+			len(sum), len(x), n, rows))
+	}
+	total := rows * n
+	if n < 8 {
+		// Tiny transforms have no stages to batch: run Forward's own
+		// stages on each (already reversed) row and add it.
+		for r := 0; r < total; r += n {
+			row := x[r : r+n]
+			p.butterflies(row, false, n)
+			for i, v := range row {
+				sum[i] += v
+			}
+		}
+		return
+	}
+	p.batchStages(x, total)
+	half := n >> 1
+	twf := p.twiddle[:half:half]
+	slo := sum[:half:half]
+	shi := sum[half:n:n]
+	for r := 0; r < total; r += n {
+		lo := x[r : r+half : r+half]
+		hi := x[r+half : r+n : r+n]
+		u, t := lo[0], hi[0]
+		slo[0] += u + t
+		shi[0] += u - t
+		for i := 1; i < half; i++ {
+			u := lo[i]
+			t := twf[i] * hi[i]
+			slo[i] += u + t
+			shi[i] += u - t
+		}
+	}
+}
+
 // forwardMagStages runs the shared post-reversal stage sequence of the
 // batched magnitude transforms over a flat stack of total = rows·n samples.
 func (p *FFTPlan) forwardMagStages(y []float64, x []complex128, total int) {
+	n := p.n
+	p.batchStages(x, total)
+	// Final stage fused with the magnitude computation, per row, with the
+	// w == 1 butterfly hoisted out of the twiddled loop.
+	half := n >> 1
+	twf := p.twiddle[:half:half]
+	for r := 0; r < total; r += n {
+		lo := x[r : r+half : r+half]
+		hi := x[r+half : r+n : r+n]
+		ylo := y[r : r+half : r+half]
+		yhi := y[r+half : r+n : r+n]
+		u, t := lo[0], hi[0]
+		a, b := u+t, u-t
+		ylo[0] = real(a)*real(a) + imag(a)*imag(a)
+		yhi[0] = real(b)*real(b) + imag(b)*imag(b)
+		for i := 1; i < half; i++ {
+			u := lo[i]
+			t := twf[i] * hi[i]
+			a, b := u+t, u-t
+			ylo[i] = real(a)*real(a) + imag(a)*imag(a)
+			yhi[i] = real(b)*real(b) + imag(b)*imag(b)
+		}
+	}
+}
+
+// batchStages runs every butterfly stage below the final one (sizes 2 to
+// n/2) over a flat stack of total = rows·n bit-reversed samples; n must be
+// at least 8. Row boundaries are multiples of every stage size, so each
+// stage runs across the whole stack; the arithmetic per butterfly is
+// exactly butterflies'.
+func (p *FFTPlan) batchStages(x []complex128, total int) {
 	n := p.n
 	// Size-2 stage: w = 1 everywhere.
 	for i := 0; i+1 < total; i += 2 {
@@ -254,27 +333,6 @@ func (p *FFTPlan) forwardMagStages(y []float64, x []complex128, total int) {
 				hi[i] = lo[i] - t
 				lo[i] += t
 			}
-		}
-	}
-	// Final stage fused with the magnitude computation, per row, with the
-	// w == 1 butterfly hoisted out of the twiddled loop.
-	half := n >> 1
-	twf := p.twiddle[:half:half]
-	for r := 0; r < total; r += n {
-		lo := x[r : r+half : r+half]
-		hi := x[r+half : r+n : r+n]
-		ylo := y[r : r+half : r+half]
-		yhi := y[r+half : r+n : r+n]
-		u, t := lo[0], hi[0]
-		a, b := u+t, u-t
-		ylo[0] = real(a)*real(a) + imag(a)*imag(a)
-		yhi[0] = real(b)*real(b) + imag(b)*imag(b)
-		for i := 1; i < half; i++ {
-			u := lo[i]
-			t := twf[i] * hi[i]
-			a, b := u+t, u-t
-			ylo[i] = real(a)*real(a) + imag(a)*imag(a)
-			yhi[i] = real(b)*real(b) + imag(b)*imag(b)
 		}
 	}
 }

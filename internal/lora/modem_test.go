@@ -398,13 +398,5 @@ func TestIntoVariantsMatchAllocatingForms(t *testing.T) {
 				t.Fatalf("cfo=%g: DownSignalVectorInto[%d] = %v, want %v", cfo, i, y[i], want[i])
 			}
 		}
-
-		wantC := d.ComplexSignalVector(rx, start, cfo, symIdx)
-		d.ComplexSignalVectorInto(cbuf, rx, start, cfo, symIdx)
-		for i := range cbuf {
-			if cbuf[i] != wantC[i] {
-				t.Fatalf("cfo=%g: ComplexSignalVectorInto[%d] = %v, want %v", cfo, i, cbuf[i], wantC[i])
-			}
-		}
 	}
 }

@@ -27,6 +27,7 @@ type Calculator struct {
 	cfoCycles float64
 	numData   int
 	dataOff   float64 // rx samples from packet start to first data symbol
+	alpha     float64 // Alpha(), fixed by Reset
 
 	// vecs[idx+preambleOffset] is the signal vector of symbol idx, nil
 	// until computed; every non-nil entry aliases arena.
@@ -76,6 +77,10 @@ func (c *Calculator) Reset(d *lora.Demodulator, antennas [][]complex128, start, 
 	c.numData = numData
 	c.dataOff = (lora.PreambleUpchirps + lora.SyncSymbols + float64(lora.DownchirpQuarters)/4) *
 		float64(p.SymbolSamples())
+	c.alpha = math.Mod(c.SymbolStart(0)/float64(p.OSF)-cfoCycles, float64(n))
+	if c.alpha < 0 {
+		c.alpha += float64(n)
+	}
 	if cap(c.vecs) < slots {
 		c.vecs = make([][]float64, slots)
 	} else {
@@ -116,17 +121,9 @@ func (c *Calculator) SymbolStart(idx int) float64 {
 // signal vectors appears in packet i's vectors at bin
 // mod(b + αᵢ - αₖ, N): a window that starts later sees the chirp's peak at
 // a higher bin, and a packet's own CFO correction shifts foreign peaks the
-// opposite way. α is reported modulo N.
-func (c *Calculator) Alpha() float64 {
-	p := c.demod.Params()
-	n := float64(p.N())
-	a := c.SymbolStart(0)/float64(p.OSF) - c.cfoCycles
-	a = math.Mod(a, n)
-	if a < 0 {
-		a += n
-	}
-	return a
-}
+// opposite way. α is reported modulo N. It depends only on what Reset
+// sets, so Reset computes it once; Thrive reads it in its inner loops.
+func (c *Calculator) Alpha() float64 { return c.alpha }
 
 // InRange reports whether data symbol idx exists (preamble indices are
 // valid down to -PreambleUpchirps).

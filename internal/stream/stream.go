@@ -165,6 +165,18 @@ func (s *Streamer) Feed(samples []complex128) ([]Decoded, error) {
 		return nil, &OverflowError{Buffered: len(s.buf), Incoming: len(samples), Limit: s.maxBuffer}
 	}
 	at := len(s.buf)
+	if need := at + len(samples); need > cap(s.buf) {
+		// Grow once to the steady-state size — a full window pass plus
+		// this chunk — instead of letting append double its way there
+		// chunk by chunk.
+		size := s.window + s.overlap + len(samples)
+		if s.maxBuffer > 0 {
+			size = min(size, s.maxBuffer)
+		}
+		buf := make([]complex128, at, max(size, need))
+		copy(buf, s.buf)
+		s.buf = buf
+	}
 	s.buf = append(s.buf, samples...)
 	// Sanitize the appended region in place (the caller's slice is never
 	// touched): NaN/Inf samples would propagate through every FFT in the

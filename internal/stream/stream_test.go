@@ -100,6 +100,31 @@ func TestStreamerMatchesWholeTraceDecode(t *testing.T) {
 	}
 }
 
+// TestStreamerBufferGrowsOnce feeds a trace in 65,536-sample chunks, the
+// ingest path's chunk size, and checks that the sample buffer is allocated
+// once at its steady-state size instead of growing chunk by chunk.
+func TestStreamerBufferGrowsOnce(t *testing.T) {
+	tr, _ := buildLongTrace(t, 804, 3, 2.5)
+	s := newStreamer(t)
+	samples := tr.Antennas[0]
+	const chunk = 65_536
+	grows, capacity := 0, cap(s.buf)
+	for off := 0; off < len(samples); off += chunk {
+		mustFeed(t, s, samples[off:min(off+chunk, len(samples))])
+		if cap(s.buf) != capacity {
+			grows++
+			capacity = cap(s.buf)
+		}
+	}
+	mustFlush(t, s)
+	if passes := len(samples) / s.WindowSamples(); passes < 2 {
+		t.Fatalf("trace of %d samples covers %d window passes; the test needs at least 2", len(samples), passes)
+	}
+	if grows > 1 {
+		t.Errorf("buffer grew %d times over %d chunks, want at most once", grows, (len(samples)+chunk-1)/chunk)
+	}
+}
+
 func TestStreamerRandomChunkSizes(t *testing.T) {
 	tr, _ := buildLongTrace(t, 801, 6, 2.5)
 	s := newStreamer(t)

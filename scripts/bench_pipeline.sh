@@ -78,7 +78,7 @@ raw=$(go test -bench 'BenchmarkReceiver/' -benchtime "$benchtime" -count 3 -run 
 echo "$raw" >&2
 
 # Kernel micro-benchmarks: the fused dechirp (vs the legacy 3-pass path), one
-# Q evaluation of the fractional sync search, and the preamble scan across
+# Q evaluation and one full fractional sync search, and the preamble scan across
 # pool widths. Time-based benchtime keeps these stable regardless of the
 # iteration count passed for the (much slower) receiver bench; -count with
 # per-row minimum (taken in the awk below) is the honest estimator on a
@@ -87,7 +87,7 @@ echo "$raw" >&2
 # its iterations are ms-scale (few per 200ms window), so its single-run
 # variance is the largest of the gated rows.
 kraw=$(go test -bench 'BenchmarkDechirp$' -benchtime 200ms -count 5 -run '^$' ./internal/lora
-       go test -bench 'BenchmarkEvalQ$|BenchmarkScanPreambles$' -benchtime 200ms -count 15 -run '^$' ./internal/detect
+       go test -bench 'BenchmarkEvalQ$|BenchmarkFractionalSearch$|BenchmarkScanPreambles$' -benchtime 200ms -count 15 -run '^$' ./internal/detect
        go test -bench 'BenchmarkDechirpKernel$|BenchmarkForwardMag256$|BenchmarkForwardMagBatch$' -benchtime 200ms -count 5 -run '^$' ./internal/dsp)
 echo "$kraw" >&2
 
