@@ -113,7 +113,7 @@ type refineScratch struct {
 	med     []float64    // MedianScratch working space, 2n for the distribute path
 
 	rows lora.PreambleRows        // dechirped rows of the current Q-search start
-	rot  [2]lora.PreambleRotation // CFO rotations of the phase-2 lines
+	rot  [3]lora.PreambleRotation // CFO rotations of the phase-2 lines
 	qres []qResult                // phase-2 results, line-major
 }
 
@@ -132,6 +132,7 @@ func (d *Detector) newRefineScratch() *refineScratch {
 // Detect scans the trace (all antennas, signal vectors summed) and returns
 // the refined packets sorted by start time.
 func (d *Detector) Detect(antennas [][]complex128) []Packet {
+	d.ScanStats, d.RefineStats = parallel.Stats{}, parallel.Stats{}
 	if len(antennas) == 0 || len(antennas[0]) == 0 {
 		return nil
 	}

@@ -107,7 +107,7 @@ func BenchmarkScanPreambles(b *testing.B) {
 }
 
 // BenchmarkEvalQ measures one stand-alone Q evaluation — dechirp the start,
-// build the CFO's rotations, transform and sum — at a detection-like
+// build the CFO's rotation, sum and transform — at a detection-like
 // fractional start with a nonzero CFO hypothesis. It is the cost of one
 // hypothesis with nothing shared; BenchmarkFractionalSearch measures the
 // search that shares rows and rotations across its 64 hypotheses.

@@ -51,6 +51,19 @@ func maxEnergy(v []complex128) (int, float64) {
 	return bi, best
 }
 
+// phase2Lines returns the CFO lines phase 2 sweeps after phase 1 picked
+// bestF ∈ [−1, 0]: bestF and its +1-cycle alias. Q(−1) and Q(0) are equal
+// (an integer cycle per symbol only shifts the spectrum by one bin), so
+// when bestF is an endpoint, rounding alone decided between them, and the
+// lines {−1, 0} and {0, 1} would each miss one true offset; both endpoints
+// then sweep all three lines.
+func phase2Lines(bestF float64) (lines [3]float64, n int) {
+	if bestF == -1 || bestF == 0 {
+		return [3]float64{-1, 0, 1}, 3
+	}
+	return [3]float64{bestF, bestF + 1}, 2
+}
+
 // qStar gates Q on the peak locations: nonzero only when both the up and
 // down summed peaks sit exactly at bin 0 (the paper's "location 1"). A
 // looser gate would let a ±1-cycle CFO alias through, since an integer
@@ -69,10 +82,9 @@ func (d *Detector) qStar(r qResult) float64 {
 //
 // Every distinct piece of work is done once per search: a start is
 // dechirped once for all the CFO hypotheses evaluated at it, a CFO's
-// rotations are built once for all the starts, and phase 3 reuses the
-// phase-2 results that lie on its grid. Hypotheses are still compared in
-// the order of the plain per-hypothesis search, so ties break the same way,
-// and each Q value is bit-identical to evalQ's.
+// rotation is built once for all the starts, and phase 3 reuses the
+// phase-2 results that lie on its grid. Hypotheses are compared in the
+// order of the plain per-hypothesis search, so ties break the same way.
 func (d *Detector) fractionalSearch(antennas [][]complex128, start, cfo float64, rs *refineScratch) (dt, df, q float64) {
 	// Phase 1: δt = 0, δf from −1 to 0 in steps of 1/16; maximize Q.
 	d.demod.DechirpPreamble(&rs.rows, antennas, start)
@@ -86,21 +98,23 @@ func (d *Detector) fractionalSearch(antennas [][]complex128, start, cfo float64,
 		}
 	}
 
-	// Phase 2: δt swept at half-sample steps on two lines δf* and δf*+1;
+	// Phase 2: δt swept at half-sample steps on the lines δf* and δf*+1
+	// (all of −1, 0 and 1 when δf* is an endpoint, see phase2Lines);
 	// maximize Q*, which kills the ±1-cycle CFO alias. The paper sweeps
 	// δt ∈ [−1, 1]; our coarse stage quantizes the timing to half a chip
 	// (OSF/2 receiver samples), so the sweep covers that full range. Each δt
-	// is dechirped once for both lines; res[l·steps+i] is line l at step i.
+	// is dechirped once for every line; res[l·steps+i] is line l at step i.
 	halfChip := float64(d.p.OSF) / 2
 	steps := int(4*halfChip) + 3
-	lines := [2]float64{bestF, bestF + 1}
+	lineBuf, nl := phase2Lines(bestF)
+	lines := lineBuf[:nl]
 	for l, f := range lines {
 		d.demod.BuildPreambleRotation(&rs.rot[l], cfo+f)
 	}
-	if cap(rs.qres) < 2*steps {
-		rs.qres = make([]qResult, 2*steps)
+	if cap(rs.qres) < len(rs.rot)*steps {
+		rs.qres = make([]qResult, len(rs.rot)*steps)
 	}
-	res := rs.qres[:2*steps]
+	res := rs.qres[:len(lines)*steps]
 	for i := 0; i < steps; i++ {
 		t := -halfChip - 0.5 + float64(i)/2
 		d.demod.DechirpPreamble(&rs.rows, antennas, start+t)

@@ -67,40 +67,25 @@ func TestForwardMagBatchRevMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestForwardSumRevMatchesForward pins the summing transform's contract:
-// adding the rows' spectra through ForwardSumRev equals running Forward on
-// every row and adding the spectra in row order, bit for bit. Sizes below 16
-// have no compacted stage tables, and sizes 1, 2 and 4 have special final
-// stages. The sum starts nonzero so the order of the additions shows.
-func TestForwardSumRevMatchesForward(t *testing.T) {
+// TestForwardRevMatchesForward pins the reversed-input transform's
+// contract: ForwardRev on a bit-reversed copy equals Forward on the original,
+// bit for bit. Sizes below 16 have no compacted stage tables, and sizes 1, 2
+// and 4 have special stages.
+func TestForwardRevMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	for _, n := range []int{1, 2, 4, 8, 16, 256, 4096} {
 		p := MustPlan(n)
-		rev := p.Rev()
-		for _, rows := range []int{0, 1, 3, 10} {
-			x := randRows(rng, rows, n)
-			init := randRows(rng, 1, n)
-			want := append([]complex128(nil), init...)
-			for r := 0; r < rows; r++ {
-				row := append([]complex128(nil), x[r*n:(r+1)*n]...)
-				p.Forward(row)
-				for i := range want {
-					want[i] += row[i]
-				}
-			}
-			perm := make([]complex128, rows*n)
-			for r := 0; r < rows; r++ {
-				for i := 0; i < n; i++ {
-					perm[r*n+i] = x[r*n+int(rev[i])]
-				}
-			}
-			got := append([]complex128(nil), init...)
-			p.ForwardSumRev(got, perm, rows)
-			for i := range want {
-				if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
-					math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
-					t.Fatalf("n=%d rows=%d: sum[%d]=%v, per-row Forward=%v", n, rows, i, got[i], want[i])
-				}
+		x := randRows(rng, 1, n)
+		got := make([]complex128, n)
+		for i, r := range p.Rev() {
+			got[i] = x[r]
+		}
+		p.ForwardRev(got)
+		p.Forward(x)
+		for i := range x {
+			if math.Float64bits(real(got[i])) != math.Float64bits(real(x[i])) ||
+				math.Float64bits(imag(got[i])) != math.Float64bits(imag(x[i])) {
+				t.Fatalf("n=%d: ForwardRev[%d]=%v, Forward=%v", n, i, got[i], x[i])
 			}
 		}
 	}

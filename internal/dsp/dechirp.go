@@ -88,27 +88,3 @@ func sampleLinear(x []complex128, pos float64, n int) complex128 {
 	}
 	return 0
 }
-
-// DechirpRotatedSpan returns the output indices [lo, hi) that a rotating
-// DechirpFused call with this start and step, over n outputs of an input of
-// length xlen, multiplies by its rotator. The interpolating path rotates
-// every output. The exact-integer path writes the outputs whose positions
-// fall outside the input as unrotated zeros, so only the in-range span is
-// rotated there. A caller that dechirps with phase 0 and rotates later
-// applies the rotation over exactly this span to reproduce the fused
-// kernel's values.
-func DechirpRotatedSpan(start, step float64, xlen, n int) (lo, hi int) {
-	s0, si := int(start), int(step)
-	if float64(s0) != start || float64(si) != step {
-		return 0, n
-	}
-	// Positions s0 + k·si lie in [0, xlen) for k in [⌈−s0/si⌉, ⌈(xlen−s0)/si⌉).
-	if s0 < 0 {
-		lo = (-s0 + si - 1) / si
-	}
-	if xlen > s0 {
-		hi = (xlen - s0 + si - 1) / si
-	}
-	lo, hi = min(lo, n), min(hi, n)
-	return lo, max(lo, hi)
-}

@@ -89,57 +89,6 @@ func TestDechirpFusedIntegerFastPathExact(t *testing.T) {
 	}
 }
 
-// TestDechirpRotatedSpan pins the factoring DechirpRotatedSpan describes: a
-// rotating DechirpFused call equals the phase-0 call times the rotator over
-// the span and the phase-0 call itself outside it, bit for bit — signed
-// zeros included — on the interpolating path and on the integer path with
-// the input's head and tail overhanging.
-func TestDechirpRotatedSpan(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	n := 64
-	x := randomVec(rng, 3*n)
-	ref := randomVec(rng, n)
-	rotated := make([]complex128, n)
-	plain := make([]complex128, n)
-	same := func(a, b complex128) bool {
-		return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
-			math.Float64bits(imag(a)) == math.Float64bits(imag(b))
-	}
-	for _, c := range []struct {
-		start, step float64
-		lo, hi      int
-	}{
-		{10.5, 4, 0, n},               // interpolating: every output rotated
-		{-7.25, 2, 0, n},              // interpolating from before the input
-		{0, 2, 0, n},                  // integer, fully inside
-		{float64(2 * n), 2, 0, n / 2}, // integer, tail past the end
-		{-9, 4, 3, 51},                // integer, head before the start, tail past the end
-		{-9, 8, 2, 26},                // integer, step 8
-		{float64(3 * n), 1, 0, 0},     // integer, entirely past the end
-	} {
-		lo, hi := DechirpRotatedSpan(c.start, c.step, len(x), n)
-		if lo != c.lo || hi != c.hi {
-			t.Errorf("start=%g step=%g: span [%d, %d), want [%d, %d)", c.start, c.step, lo, hi, c.lo, c.hi)
-		}
-		for _, ph := range [][2]float64{{0.4, -0.3}, {-2.1, 0.05}, {3, 2.9}} {
-			DechirpFused(rotated, x, c.start, c.step, ref, ph[0], ph[1])
-			DechirpFused(plain, x, c.start, c.step, ref, 0, 0)
-			rot := NewRotator(ph[0], ph[1])
-			for k := range rotated {
-				w := rot.Next()
-				want := plain[k]
-				if k >= lo && k < hi {
-					want *= w
-				}
-				if !same(rotated[k], want) {
-					t.Fatalf("start=%g step=%g phase=%v sample %d: fused %v, factored %v",
-						c.start, c.step, ph, k, rotated[k], want)
-				}
-			}
-		}
-	}
-}
-
 // TestSampleAtEdgeCases covers the contract at and beyond the ends of x:
 // negative positions, the exact last sample, fractional positions inside
 // (len(x)-1, len(x)), and the frac == 0 fast path.

@@ -199,51 +199,32 @@ func (p *FFTPlan) ForwardMagBatchRev(y []float64, x []complex128, rows int) {
 	p.forwardMagStages(y, x, rows*n)
 }
 
-// ForwardSumRev adds the forward DFTs of rows stacked segments of x into
-// sum: sum[i] += FFT(row r)[i] for r = 0, 1, …, rows−1 in that order. Each
-// row's samples must already be stored in bit-reversed order (see Rev), and
-// each row is transformed exactly as Forward would — the same butterflies
-// with the same operands in the same order — so the result is bit-identical
-// to calling Forward on every row and adding the spectra one row at a time.
-// The final stage adds its butterfly outputs straight into sum instead of
-// storing the spectrum. x is consumed as scratch; len(sum) must equal the
+// ForwardRev is Forward for input already stored in bit-reversed order (see
+// Rev), the layout a caller produces when it fuses its last pass over the
+// data with the reversal permutation: it skips the swap pass and runs the
+// batchStages sequence, whose butterflies are Forward's own, so the result is
+// bit-identical to Forward on the unpermuted input. len(x) must equal the
 // plan size.
-func (p *FFTPlan) ForwardSumRev(sum, x []complex128, rows int) {
+func (p *FFTPlan) ForwardRev(x []complex128) {
 	n := p.n
-	if len(sum) != n || len(x) != rows*n {
-		panic(fmt.Sprintf("dsp: ForwardSumRev lengths (%d, %d) != plan size %d and %d rows",
-			len(sum), len(x), n, rows))
+	if len(x) != n {
+		panic(fmt.Sprintf("dsp: ForwardRev input length %d != plan size %d", len(x), n))
 	}
-	total := rows * n
 	if n < 8 {
-		// Tiny transforms have no stages to batch: run Forward's own
-		// stages on each (already reversed) row and add it.
-		for r := 0; r < total; r += n {
-			row := x[r : r+n]
-			p.butterflies(row, false, n)
-			for i, v := range row {
-				sum[i] += v
-			}
-		}
+		p.butterflies(x, false, n)
 		return
 	}
-	p.batchStages(x, total)
+	p.batchStages(x, n)
 	half := n >> 1
 	twf := p.twiddle[:half:half]
-	slo := sum[:half:half]
-	shi := sum[half:n:n]
-	for r := 0; r < total; r += n {
-		lo := x[r : r+half : r+half]
-		hi := x[r+half : r+n : r+n]
-		u, t := lo[0], hi[0]
-		slo[0] += u + t
-		shi[0] += u - t
-		for i := 1; i < half; i++ {
-			u := lo[i]
-			t := twf[i] * hi[i]
-			slo[i] += u + t
-			shi[i] += u - t
-		}
+	lo := x[:half:half]
+	hi := x[half:n:n]
+	u, t := lo[0], hi[0]
+	lo[0], hi[0] = u+t, u-t
+	for i := 1; i < half; i++ {
+		u := lo[i]
+		t := twf[i] * hi[i]
+		lo[i], hi[i] = u+t, u-t
 	}
 }
 

@@ -1,17 +1,28 @@
 package lora
 
-import "tnb/internal/dsp"
+import (
+	"math"
+
+	"tnb/internal/dsp"
+)
 
 // Shared rows for the §7 Q search. Q(δt, δf) coherently sums the spectra
 // of the 8 preamble upchirps and the 2 full downchirps, each dechirped at
-// start+δt and CFO-corrected for cfo+δf. DechirpInto forms every sample as
-// interp·conj(ref) times one Rotator value, and the two factors depend on
-// different halves of the hypothesis: the dechirped sample on δt alone, the
-// rotation on δf and the symbol index alone. A search can therefore dechirp
-// each start once (DechirpPreamble), build each CFO's rotations once
-// (BuildPreambleRotation) and combine any pair (PreambleSpectra). Every
-// combined sample is the product DechirpInto forms, from the same operands,
-// so the sums are bit-identical to per-hypothesis DechirpInto + Forward.
+// start+δt and CFO-corrected for cfo+δf. A dechirped sample depends on δt
+// alone. The CFO correction of sample j of symbol k is
+// e^{i(phase0ₖ + j·dphase)} (cfoPhases), and dphase is the same for every
+// symbol, so it factors into a per-symbol phasor e^{i·phase0ₖ} and one
+// shared ramp e^{i·j·dphase}. The transform is linear, so the coherent sum
+// of the rotated rows' spectra is the spectrum of
+//
+//	ramp · Σₖ e^{i·phase0ₖ} · rowₖ
+//
+// A search dechirps each start once (DechirpPreamble), builds each CFO's
+// ramp and phasors once (BuildPreambleRotation), and combines any pair with
+// one complex multiply-add per row sample and one transform per direction
+// (PreambleSpectra). The sums equal per-row DechirpInto + Forward up to
+// rounding. Where the fused kernel's integer path leaves a sample unrotated,
+// that sample is an exact zero, so rotating it changes nothing.
 
 // qSymbols are the symbol indices of the Q-search rows: the preamble
 // upchirps, then the two full downchirps after the sync symbols.
@@ -22,21 +33,19 @@ var qSymbols = [...]int{0, 1, 2, 3, 4, 5, 6, 7, 10, 11}
 // correction, in symbol-then-antenna order. The zero value is ready to use;
 // buffers grow on first use and are reused after.
 type PreambleRows struct {
-	data  []complex128 // rows × N dechirped samples
-	stack []complex128 // rows × N rotated, bit-reversed transform input
-	slot  []int        // qSymbols index of each row
-	lo    []int        // rotated span [lo, hi) of each row
-	hi    []int        // (dsp.DechirpRotatedSpan)
-	up    int          // rows [0, up) are upchirps, [up, rows) downchirps
-	rows  int
+	data []complex128 // rows × N dechirped samples
+	acc  []complex128 // N-sample phasor-weighted row sum
+	slot []int        // qSymbols index of each row
+	up   int          // rows [0, up) are upchirps, [up, rows) downchirps
+	rows int
 }
 
-// PreambleRotation holds one CFO hypothesis's rotations for every symbol of
-// qSymbols: the Rotator sequence DechirpInto would use at that symbol index.
-// The zero value is ready to use.
+// PreambleRotation holds one CFO hypothesis's correction for every symbol
+// of qSymbols, factored into the ramp all symbols share and one phasor per
+// symbol. The zero value is ready to use.
 type PreambleRotation struct {
-	w  []complex128        // len(qSymbols) × N
-	on [len(qSymbols)]bool // false where DechirpInto skips the rotation
+	ramp   []complex128              // e^{i·j·dphase}, j = 0 … N−1
+	phasor [len(qSymbols)]complex128 // e^{i·phase0ₖ} per qSymbols slot
 }
 
 // DechirpPreamble dechirps the Q-search rows of a preamble starting at the
@@ -46,12 +55,10 @@ type PreambleRotation struct {
 func (d *Demodulator) DechirpPreamble(pr *PreambleRows, antennas [][]complex128, start float64) {
 	n, sym := d.p.N(), d.p.SymbolSamples()
 	step := float64(d.p.OSF)
-	if most := len(qSymbols) * len(antennas); len(pr.slot) < most || len(pr.data) < most*n {
+	if most := len(qSymbols) * len(antennas); len(pr.slot) < most || len(pr.data) < most*n || len(pr.acc) != n {
 		pr.data = make([]complex128, most*n)
-		pr.stack = make([]complex128, most*n)
+		pr.acc = make([]complex128, n)
 		pr.slot = make([]int, most)
-		pr.lo = make([]int, most)
-		pr.hi = make([]int, most)
 	}
 	rows := 0
 	for slot, k := range qSymbols {
@@ -69,76 +76,70 @@ func (d *Demodulator) DechirpPreamble(pr *PreambleRows, antennas [][]complex128,
 		for _, ant := range antennas {
 			dsp.DechirpFused(pr.data[rows*n:(rows+1)*n], ant, s, step, ref, 0, 0)
 			pr.slot[rows] = slot
-			pr.lo[rows], pr.hi[rows] = dsp.DechirpRotatedSpan(s, step, len(ant), n)
 			rows++
 		}
 	}
 	pr.rows = rows
 }
 
-// BuildPreambleRotation fills r with the CFO rotations for cfoCycles: for
-// each symbol of qSymbols, the values the Rotator inside DechirpInto (or
-// DechirpDownInto) generates at that symbol index, or none where that
-// kernel skips the rotation.
+// BuildPreambleRotation fills r with the CFO correction for cfoCycles: the
+// phasor e^{i·phase0ₖ} of each symbol of qSymbols and the ramp
+// e^{i·j·dphase} that DechirpInto's Rotator multiplies it by.
 func (d *Demodulator) BuildPreambleRotation(r *PreambleRotation, cfoCycles float64) {
 	n := d.p.N()
-	if len(r.w) != len(qSymbols)*n {
-		r.w = make([]complex128, len(qSymbols)*n)
+	if len(r.ramp) != n {
+		r.ramp = make([]complex128, n)
 	}
 	for slot, k := range qSymbols {
-		phase0, dphase := d.cfoPhases(cfoCycles, k)
-		r.on[slot] = phase0 != 0 || dphase != 0
-		if !r.on[slot] {
-			continue
-		}
-		rot := dsp.NewRotator(phase0, dphase)
-		w := r.w[slot*n : (slot+1)*n]
-		for i := range w {
-			w[i] = rot.Next()
-		}
+		phase0, _ := d.cfoPhases(cfoCycles, k)
+		s, c := math.Sincos(phase0)
+		r.phasor[slot] = complex(c, s)
+	}
+	_, dphase := d.cfoPhases(cfoCycles, 0)
+	rot := dsp.NewRotator(0, dphase)
+	for j := range r.ramp {
+		r.ramp[j] = rot.Next()
 	}
 }
 
 // PreambleSpectra sets upSum and downSum (length N) to the coherent sums of
 // the CFO-corrected upchirp and downchirp row spectra of pr under rotation
-// r, adding rows in symbol-then-antenna order. The rows go through one
-// batched transform per direction, whose final stage adds into the sums.
-// pr's transform scratch is overwritten; its dechirped rows are not.
+// r: per direction, the rows are summed in the time domain and the sum is
+// transformed once.
 func (d *Demodulator) PreambleSpectra(upSum, downSum []complex128, pr *PreambleRows, r *PreambleRotation) {
-	n := d.p.N()
-	d.rotateRows(pr, r)
-	for i := range upSum {
-		upSum[i] = 0
-		downSum[i] = 0
-	}
-	d.plan.ForwardSumRev(upSum, pr.stack[:pr.up*n], pr.up)
-	d.plan.ForwardSumRev(downSum, pr.stack[pr.up*n:pr.rows*n], pr.rows-pr.up)
+	d.rowSpectrum(upSum, pr, r, 0, pr.up)
+	d.rowSpectrum(downSum, pr, r, pr.up, pr.rows)
 }
 
-// rotateRows writes every row of pr, CFO-corrected by r, into pr.stack in
-// bit-reversed order, the layout ForwardSumRev reads: each sample is the
-// value DechirpInto would produce, which multiplies by the rotator only over
-// the row's rotated span.
-func (d *Demodulator) rotateRows(pr *PreambleRows, r *PreambleRotation) {
+// rowSpectrum sets sum to the spectrum of ramp · Σ phasor·row over rows
+// [from, to) of pr, writing the time-domain sum in the bit-reversed order
+// ForwardRev reads.
+func (d *Demodulator) rowSpectrum(sum []complex128, pr *PreambleRows, r *PreambleRotation, from, to int) {
 	n := d.p.N()
-	rev := d.plan.Rev()[:n:n]
-	for j := 0; j < pr.rows; j++ {
-		src := pr.data[j*n : (j+1)*n : (j+1)*n]
-		dst := pr.stack[j*n : (j+1)*n : (j+1)*n]
-		slot := pr.slot[j]
-		lo, hi := 0, 0
-		if r.on[slot] {
-			lo, hi = pr.lo[j], pr.hi[j]
-		}
-		for k := 0; k < lo; k++ {
-			dst[rev[k]] = src[k]
-		}
-		w := r.w[slot*n : (slot+1)*n : (slot+1)*n]
-		for k := lo; k < hi; k++ {
-			dst[rev[k]] = src[k] * w[k]
-		}
-		for k := hi; k < n; k++ {
-			dst[rev[k]] = src[k]
+	acc := pr.acc[:n:n]
+	for i := range acc {
+		acc[i] = 0
+	}
+	j := from
+	for ; j+1 < to; j += 2 {
+		w0, w1 := r.phasor[pr.slot[j]], r.phasor[pr.slot[j+1]]
+		r0 := pr.data[j*n : (j+1)*n : (j+1)*n]
+		r1 := pr.data[(j+1)*n : (j+2)*n : (j+2)*n]
+		for i := range acc {
+			acc[i] += w0*r0[i] + w1*r1[i]
 		}
 	}
+	if j < to {
+		w := r.phasor[pr.slot[j]]
+		row := pr.data[j*n : (j+1)*n : (j+1)*n]
+		for i, v := range row {
+			acc[i] += w * v
+		}
+	}
+	rev := d.plan.Rev()[:n:n]
+	ramp := r.ramp[:n:n]
+	for i := range sum[:n] {
+		sum[i] = acc[rev[i]] * ramp[rev[i]]
+	}
+	d.plan.ForwardRev(sum)
 }

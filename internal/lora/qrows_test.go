@@ -2,11 +2,18 @@ package lora
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
 	"tnb/internal/dsp"
 )
+
+// qRelBound is the error the factored Q search may add against the per-row
+// path, relative to the largest magnitude in the compared spectrum: the
+// time-domain sum and the factored rotation reorder the rounding of a sum of
+// 10·antennas rows, which measures ~2e-15 here.
+const qRelBound = 1e-13
 
 // sameBits reports whether two complex values are equal bit for bit,
 // telling +0 from −0.
@@ -15,12 +22,25 @@ func sameBits(a, b complex128) bool {
 		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
 }
 
-// TestPreambleRowsMatchDechirpInto checks the factored dechirp: every
-// rotated row PreambleSpectra transforms must hold, in bit-reversed order,
-// exactly the samples DechirpInto/DechirpDownInto produce for that symbol —
-// including the signs of the zeros the fused kernel writes past the end of
-// the input on its integer path — and the sums must equal per-row Forward.
+// maxAbsDiff returns the largest |got[i] − want[i]| and the largest
+// |want[i]|.
+func maxAbsDiff(got, want []complex128) (diff, scale float64) {
+	for i := range want {
+		diff = math.Max(diff, cmplx.Abs(got[i]-want[i]))
+		scale = math.Max(scale, cmplx.Abs(want[i]))
+	}
+	return diff, scale
+}
+
+// TestPreambleRowsMatchDechirpInto checks the factored Q rows: every row
+// DechirpPreamble stores must be, bit for bit, the samples DechirpInto or
+// DechirpDownInto produce for that symbol with zero CFO, and the spectra
+// PreambleSpectra sums under a CFO rotation must equal the sums of per-row
+// DechirpInto/DechirpDownInto + Forward within qRelBound of their peak. The
+// starts cover the integer path with rows overhanging the end of the input
+// (unrotated zeros there), the interpolating path, and rows before sample 0.
 func TestPreambleRowsMatchDechirpInto(t *testing.T) {
+	worst := 0.0
 	for _, osf := range []int{1, 2, 8} {
 		p := MustParams(7, 4, 125e3, osf)
 		d := NewDemodulator(p)
@@ -42,19 +62,41 @@ func TestPreambleRowsMatchDechirpInto(t *testing.T) {
 			end - 11*float64(sym) - 0.5, -2 * float64(sym), -3*float64(sym) + 0.75}
 		plan := dsp.MustPlan(n)
 		buf := make([]complex128, n)
-		want := make([]complex128, n)
+		want, wantDown := make([]complex128, n), make([]complex128, n)
+		up, down := make([]complex128, n), make([]complex128, n)
 		var pr PreambleRows
 		var rot PreambleRotation
 		for _, start := range starts {
 			d.DechirpPreamble(&pr, ants, start)
-			for _, cfo := range []float64{0, -1.8125, 0.3, 2.5} {
-				d.BuildPreambleRotation(&rot, cfo)
-				d.rotateRows(&pr, &rot)
-				row := 0
-				for i := range want {
-					want[i] = 0
+			row := 0
+			for _, k := range qSymbols {
+				s := start + float64(k*sym)
+				if s < 0 {
+					continue
 				}
-				wantDown := make([]complex128, n)
+				for _, ant := range ants {
+					if k < PreambleUpchirps {
+						d.DechirpInto(buf, ant, s, 0, k)
+					} else {
+						d.DechirpDownInto(buf, ant, s, 0, k)
+					}
+					got := pr.data[row*n : (row+1)*n]
+					for i, v := range buf {
+						if !sameBits(got[i], v) {
+							t.Fatalf("OSF %d start %v symbol %d: sample %d = %v, DechirpInto %v",
+								osf, start, k, i, got[i], v)
+						}
+					}
+					row++
+				}
+			}
+			if row != pr.rows {
+				t.Fatalf("start %v: %d rows, want %d", start, pr.rows, row)
+			}
+			for _, cfo := range []float64{0, -1.8125, 0.3, 2.5} {
+				for i := range want {
+					want[i], wantDown[i] = 0, 0
+				}
 				for _, k := range qSymbols {
 					s := start + float64(k*sym)
 					if s < 0 {
@@ -68,32 +110,26 @@ func TestPreambleRowsMatchDechirpInto(t *testing.T) {
 							d.DechirpDownInto(buf, ant, s, cfo, k)
 							sum = wantDown
 						}
-						got := pr.stack[row*n : (row+1)*n]
-						for i, v := range buf {
-							if g := got[plan.Rev()[i]]; !sameBits(g, v) {
-								t.Fatalf("OSF %d start %v cfo %v symbol %d: sample %d = %v, DechirpInto %v",
-									osf, start, cfo, k, i, g, v)
-							}
-						}
 						plan.Forward(buf)
 						for i := range sum {
 							sum[i] += buf[i]
 						}
-						row++
 					}
 				}
-				if row != pr.rows {
-					t.Fatalf("start %v: %d rows, want %d", start, pr.rows, row)
-				}
-				up, down := make([]complex128, n), make([]complex128, n)
+				d.BuildPreambleRotation(&rot, cfo)
 				d.PreambleSpectra(up, down, &pr, &rot)
-				for i := range up {
-					if !sameBits(up[i], want[i]) || !sameBits(down[i], wantDown[i]) {
-						t.Fatalf("OSF %d start %v cfo %v bin %d: sums (%v, %v), per-row Forward (%v, %v)",
-							osf, start, cfo, i, up[i], down[i], want[i], wantDown[i])
+				for _, c := range [][2][]complex128{{up, want}, {down, wantDown}} {
+					diff, scale := maxAbsDiff(c[0], c[1])
+					if diff > qRelBound*scale {
+						t.Fatalf("OSF %d start %v cfo %v: sums differ from per-row Forward by %g of peak %g",
+							osf, start, cfo, diff, scale)
+					}
+					if scale > 0 {
+						worst = math.Max(worst, diff/scale)
 					}
 				}
 			}
 		}
 	}
+	t.Logf("largest error %.3g of the spectrum peak (bound %g)", worst, qRelBound)
 }

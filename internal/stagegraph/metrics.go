@@ -14,10 +14,12 @@ import (
 // DefaultPipelineMetrics for the process-wide registry.
 type PipelineMetrics struct {
 	// Stage latencies, one histogram per pipeline stage of Fig. 3.
-	DetectSeconds  *metrics.Histogram // packet detection over the window
-	SigCalcSeconds *metrics.Histogram // per-packet signal-vector calculator setup
-	ThriveSeconds  *metrics.Histogram // peak assignment (both passes)
-	DecodeSeconds  *metrics.Histogram // Hamming/BEC decoding + CRC (both passes)
+	DetectSeconds       *metrics.Histogram // packet detection over the window
+	DetectScanSeconds   *metrics.Histogram // its preamble-scan fan-out (wall)
+	DetectRefineSeconds *metrics.Histogram // its candidate refinement, the §7 Q search (wall)
+	SigCalcSeconds      *metrics.Histogram // per-packet signal-vector calculator setup
+	ThriveSeconds       *metrics.Histogram // peak assignment (both passes)
+	DecodeSeconds       *metrics.Histogram // Hamming/BEC decoding + CRC (both passes)
 
 	// Pipeline counters.
 	PacketsDetected  *metrics.Counter // detections entering assignment
@@ -47,16 +49,18 @@ func NewPipelineMetrics(reg *metrics.Registry) *PipelineMetrics {
 		return reg.Histogram(`tnb_stage_duration_seconds{stage="`+s+`"}`, metrics.DurationBuckets)
 	}
 	return &PipelineMetrics{
-		DetectSeconds:    stage("detect"),
-		SigCalcSeconds:   stage("sigcalc"),
-		ThriveSeconds:    stage("thrive"),
-		DecodeSeconds:    stage("decode"),
-		PacketsDetected:  reg.Counter("tnb_packets_detected_total"),
-		PacketsDecoded:   reg.Counter("tnb_packets_decoded_total"),
-		SecondPasspkts:   reg.Counter("tnb_packets_second_pass_total"),
-		DecodeFailed:     reg.Counter("tnb_packets_decode_failed_total"),
-		RescuedCodewords: reg.Counter("tnb_bec_rescued_codewords_total"),
-		Windows:          reg.Counter("tnb_receiver_windows_total"),
+		DetectSeconds:       stage("detect"),
+		DetectScanSeconds:   stage("detect_scan"),
+		DetectRefineSeconds: stage("detect_refine"),
+		SigCalcSeconds:      stage("sigcalc"),
+		ThriveSeconds:       stage("thrive"),
+		DecodeSeconds:       stage("decode"),
+		PacketsDetected:     reg.Counter("tnb_packets_detected_total"),
+		PacketsDecoded:      reg.Counter("tnb_packets_decoded_total"),
+		SecondPasspkts:      reg.Counter("tnb_packets_second_pass_total"),
+		DecodeFailed:        reg.Counter("tnb_packets_decode_failed_total"),
+		RescuedCodewords:    reg.Counter("tnb_bec_rescued_codewords_total"),
+		Windows:             reg.Counter("tnb_receiver_windows_total"),
 
 		PoolWorkers:        reg.Gauge("tnb_parallel_workers"),
 		ScanSpeedup:        reg.Gauge(`tnb_parallel_speedup_permille{stage="scan"}`),
@@ -152,10 +156,12 @@ func (m *PipelineMetrics) onPoolWorkers(n int) {
 	}
 }
 
-// The onStageParallel methods record one fan-out's speedup and utilization.
+// The onStageParallel methods record one fan-out's speedup and utilization;
+// the two detection fan-outs also record their wall time as a stage latency.
 
 func (m *PipelineMetrics) onScanParallel(st parallel.Stats) {
 	if m != nil {
+		m.DetectScanSeconds.Observe(st.Wall.Seconds())
 		m.ScanSpeedup.Set(st.SpeedupPermille())
 		m.ScanUtilization.Set(st.UtilizationPermille())
 	}
@@ -163,6 +169,7 @@ func (m *PipelineMetrics) onScanParallel(st parallel.Stats) {
 
 func (m *PipelineMetrics) onRefineParallel(st parallel.Stats) {
 	if m != nil {
+		m.DetectRefineSeconds.Observe(st.Wall.Seconds())
 		m.RefineSpeedup.Set(st.SpeedupPermille())
 		m.RefineUtilization.Set(st.UtilizationPermille())
 	}

@@ -26,14 +26,19 @@ func TestPipelineMetricsRecorded(t *testing.T) {
 	}
 
 	for name, h := range map[string]*metrics.Histogram{
-		"detect":  met.DetectSeconds,
-		"sigcalc": met.SigCalcSeconds,
-		"thrive":  met.ThriveSeconds,
-		"decode":  met.DecodeSeconds,
+		"detect":        met.DetectSeconds,
+		"detect_scan":   met.DetectScanSeconds,
+		"detect_refine": met.DetectRefineSeconds,
+		"sigcalc":       met.SigCalcSeconds,
+		"thrive":        met.ThriveSeconds,
+		"decode":        met.DecodeSeconds,
 	} {
 		if h.Count() == 0 {
 			t.Errorf("stage %q recorded no observations", name)
 		}
+	}
+	if scan, refine, all := met.DetectScanSeconds.Sum(), met.DetectRefineSeconds.Sum(), met.DetectSeconds.Sum(); scan <= 0 || refine <= 0 || scan+refine > all {
+		t.Errorf("detect_scan %gs + detect_refine %gs, want both > 0 and within detect %gs", scan, refine, all)
 	}
 	if v := met.PacketsDetected.Value(); v < 2 {
 		t.Errorf("packets detected = %d, want >= 2", v)
