@@ -2,7 +2,7 @@ package tnb
 
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation (§8). Each benchmark regenerates its table/figure at a
-// CI-friendly scale (sim.BenchScale: shorter traces and fewer nodes than
+// CI-friendly scale (benchScale: shorter traces and fewer nodes than
 // the paper's 30 s × 19-25 nodes; scheme ordering is preserved) and reports
 // the headline quantities as custom metrics. Run with:
 //
@@ -23,6 +23,7 @@ import (
 	"tnb/internal/obs"
 	"tnb/internal/sim"
 	"tnb/internal/stagegraph"
+	"tnb/internal/stats"
 	"tnb/internal/trace"
 )
 
@@ -91,19 +92,27 @@ func BenchmarkFig1PeakSensitivity(b *testing.B) {
 	p := Params(8, 4)
 	d := lora.NewDemodulator(p)
 	sig := make([]complex128, 2*p.SymbolSamples())
-	lora.ModulateSymbol(sig[:p.SymbolSamples()], 100, p.N(), p.Bandwidth, p.OSF)
-	aligned := peakOf(d.SignalVector(sig, 0, 0, 0))
+	for i := range p.SymbolSamples() {
+		sig[i] = lora.SymbolAt(float64(i)/p.SampleRate(), 100, p.N(), p.Bandwidth)
+	}
+	y := make([]float64, p.N())
+	buf := make([]complex128, p.N())
+	peak := func(start, cfoCycles float64) float64 {
+		d.SignalVectorInto(y, buf, sig, start, cfoCycles, 0)
+		return peakOf(y)
+	}
+	aligned := peak(0, 0)
 	b.Run("timing_quarter_symbol", func(b *testing.B) {
 		var h float64
 		for i := 0; i < b.N; i++ {
-			h = peakOf(d.SignalVector(sig, float64(p.SymbolSamples())/4, 0, 0))
+			h = peak(float64(p.SymbolSamples())/4, 0)
 		}
 		b.ReportMetric(h/aligned, "peak-ratio")
 	})
 	b.Run("cfo_half_cycle", func(b *testing.B) {
 		var h float64
 		for i := 0; i < b.N; i++ {
-			h = peakOf(d.SignalVector(sig, 0, -0.5, 0))
+			h = peak(0, -0.5)
 		}
 		b.ReportMetric(h/aligned, "peak-ratio")
 	})
@@ -134,21 +143,21 @@ func BenchmarkFig8SyncSurface(b *testing.B) {
 
 // BenchmarkFig10SNRCDF regenerates the estimated-SNR CDFs.
 func BenchmarkFig10SNRCDF(b *testing.B) {
-	scale := sim.BenchScale()
+	scale := benchScale()
 	for i := 0; i < b.N; i++ {
 		cdf, err := sim.FigSNRCDF(sim.Indoor, 8, scale, int64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(cdf.Quantile(0.5), "median-snr-db")
+			b.ReportMetric(cdfMedian(cdf), "median-snr-db")
 		}
 	}
 }
 
 // BenchmarkFig11MediumUsage regenerates the medium-usage series.
 func BenchmarkFig11MediumUsage(b *testing.B) {
-	scale := sim.BenchScale()
+	scale := benchScale()
 	for i := 0; i < b.N; i++ {
 		usage, err := sim.FigMediumUsage(sim.Indoor, 8, scale, 4)
 		if err != nil {
@@ -173,7 +182,7 @@ func BenchmarkFig12_14Throughput(b *testing.B) {
 	schemes := []sim.Scheme{sim.SchemeTnB, sim.SchemeCIC, sim.SchemeAlignTrack, sim.SchemeLoRaPHY}
 	for _, dep := range sim.Deployments {
 		b.Run(dep.Name, func(b *testing.B) {
-			scale := sim.BenchScale()
+			scale := benchScale()
 			var gain float64
 			for i := 0; i < b.N; i++ {
 				series, err := sim.FigThroughput(dep, 8, 4, schemes, scale, 5)
@@ -195,7 +204,7 @@ func BenchmarkFig12_14Throughput(b *testing.B) {
 // the TnB/Thrive ratio (the paper's 1.31× BEC contribution).
 func BenchmarkFig15Ablation(b *testing.B) {
 	schemes := []sim.Scheme{sim.SchemeTnB, sim.SchemeThrive, sim.SchemeSibling, sim.SchemeCIC}
-	scale := sim.BenchScale()
+	scale := benchScale()
 	scale.Loads = scale.Loads[len(scale.Loads)-1:]
 	var ratio float64
 	for i := 0; i < b.N; i++ {
@@ -214,7 +223,7 @@ func BenchmarkFig15Ablation(b *testing.B) {
 
 // BenchmarkFig16RescuedCodewords regenerates the rescued-codewords CDF.
 func BenchmarkFig16RescuedCodewords(b *testing.B) {
-	scale := sim.BenchScale()
+	scale := benchScale()
 	var fracRescued float64
 	for i := 0; i < b.N; i++ {
 		cdf, err := sim.FigRescuedCDF(sim.Indoor, 8, 3, scale, 7)
@@ -230,7 +239,7 @@ func BenchmarkFig16RescuedCodewords(b *testing.B) {
 
 // BenchmarkFig17PRRvsSNR regenerates the PRR-by-SNR buckets.
 func BenchmarkFig17PRRvsSNR(b *testing.B) {
-	scale := sim.BenchScale()
+	scale := benchScale()
 	var advantage float64
 	for i := 0; i < b.N; i++ {
 		buckets, err := sim.FigPRRvsSNR(sim.Indoor, 8, 4, scale, 8)
@@ -255,7 +264,7 @@ func BenchmarkFig17PRRvsSNR(b *testing.B) {
 // BenchmarkFig18CollisionLevels regenerates the collision-level
 // distribution of decoded packets.
 func BenchmarkFig18CollisionLevels(b *testing.B) {
-	scale := sim.BenchScale()
+	scale := benchScale()
 	var collidedFrac float64
 	for i := 0; i < b.N; i++ {
 		dist, err := sim.FigCollisionLevels(sim.Indoor, 8, scale, 9)
@@ -274,7 +283,7 @@ func BenchmarkFig19ETU(b *testing.B) {
 		sim.SchemeCIC, sim.SchemeCICBEC, sim.SchemeAlignTrack, sim.SchemeAlignTrackBEC,
 		sim.SchemeThrive, sim.SchemeTnB, sim.SchemeTnB2Ant,
 	}
-	scale := sim.BenchScale()
+	scale := benchScale()
 	scale.Loads = []float64{5}
 	var tnb2, cic float64
 	for i := 0; i < b.N; i++ {
@@ -406,6 +415,22 @@ func corruptCols(rng *rand.Rand, b *lora.Block, n int) *lora.Block {
 		}
 	}
 	return out
+}
+
+// benchScale is small enough for go test -bench.
+func benchScale() sim.FigureScale {
+	return sim.FigureScale{DurationSec: 1.5, Runs: 1, Loads: []float64{10, 20}, Nodes: 8}
+}
+
+// cdfMedian returns the smallest sample v with P(X <= v) >= 0.5.
+func cdfMedian(c *stats.CDF) float64 {
+	values, probs := c.Points(c.Len())
+	for i, pr := range probs {
+		if pr >= 0.5 {
+			return values[i]
+		}
+	}
+	return 0
 }
 
 func peakOf(y []float64) float64 {

@@ -64,14 +64,7 @@ func (c *Choir) Decode(tr *trace.Trace) []Decoded {
 func (c *Choir) selectBin(ants [][]complex128, pk detect.Packet, k int, start float64) int {
 	p := c.cfg.Params
 	acc := make([]float64, p.N())
-	scratch := make([]float64, p.N())
-	buf := make([]complex128, p.N())
-	for _, ant := range ants {
-		c.demod.SignalVectorInto(scratch, buf, ant, start, pk.CFOCycles, k)
-		for i := range acc {
-			acc[i] += scratch[i]
-		}
-	}
+	c.demod.SumSignalVectorInto(acc, make([]float64, p.N()), make([]complex128, p.N()), ants, start, pk.CFOCycles, k, false)
 	ps := peaks.Find(acc, 6*stats.Median(acc), 8)
 	var best *peaks.Peak
 	for i := range ps {

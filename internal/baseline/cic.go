@@ -188,14 +188,7 @@ func (c *CIC) subSpectrum(buf []complex128, rx []complex128, start, cfo float64,
 func (c *CIC) fullSpectrum(ants [][]complex128, start, cfo float64, k int) []float64 {
 	p := c.cfg.Params
 	acc := make([]float64, p.N())
-	scratch := make([]float64, p.N())
-	buf := make([]complex128, p.N())
-	for _, ant := range ants {
-		c.demod.SignalVectorInto(scratch, buf, ant, start, cfo, k)
-		for i := range acc {
-			acc[i] += scratch[i]
-		}
-	}
+	c.demod.SumSignalVectorInto(acc, make([]float64, p.N()), make([]complex128, p.N()), ants, start, cfo, k, false)
 	return acc
 }
 

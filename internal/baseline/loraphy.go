@@ -110,15 +110,7 @@ func demodAll(demod *lora.Demodulator, ants [][]complex128, pk detect.Packet,
 			shifts[k] = selector(k, s)
 			continue
 		}
-		for i := range acc {
-			acc[i] = 0
-		}
-		for _, ant := range ants {
-			demod.SignalVectorInto(scratch, buf, ant, s, pk.CFOCycles, k)
-			for i := range acc {
-				acc[i] += scratch[i]
-			}
-		}
+		demod.SumSignalVectorInto(acc, scratch, buf, ants, s, pk.CFOCycles, k, false)
 		best, bi := 0.0, 0
 		for i, v := range acc {
 			if v > best {

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"tnb/internal/detect"
-	"tnb/internal/dsp"
 	"tnb/internal/lora"
 	"tnb/internal/trace"
 )
@@ -123,19 +122,4 @@ func (m *MLoRa) subtract(residual [][]complex128, pk detect.Packet, dec Decoded)
 			}
 		}
 	}
-}
-
-// ResidualPower measures the mean power of a sample range; exported for
-// tests validating the cancellation depth.
-func ResidualPower(samples []complex128, lo, hi int) float64 {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(samples) {
-		hi = len(samples)
-	}
-	if hi <= lo {
-		return 0
-	}
-	return dsp.Power(samples[lo:hi])
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"tnb/internal/dsp"
 	"tnb/internal/lora"
 	"tnb/internal/trace"
 )
@@ -50,7 +49,7 @@ func TestMLoRaSubtractionDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr, recs := b.Build()
-	before := dsp.Power(tr.Antennas[0][int(recs[0].StartSample)+100 : int(recs[0].StartSample)+recs[0].NumSamples-100])
+	before := power(tr.Antennas[0][int(recs[0].StartSample)+100 : int(recs[0].StartSample)+recs[0].NumSamples-100])
 
 	m := NewMLoRa(Config{Params: p})
 	residual := [][]complex128{append([]complex128(nil), tr.Antennas[0]...)}
@@ -64,7 +63,7 @@ func TestMLoRaSubtractionDepth(t *testing.T) {
 		t.Fatal("clean decode failed")
 	}
 	m.subtract(residual, pkts[0], dec)
-	after := ResidualPower(residual[0], int(recs[0].StartSample)+100, int(recs[0].StartSample)+recs[0].NumSamples-100)
+	after := power(residual[0][int(recs[0].StartSample)+100 : int(recs[0].StartSample)+recs[0].NumSamples-100])
 	if after > before/20 {
 		t.Errorf("cancellation depth too shallow: %.4g -> %.4g (%.1f dB)",
 			before, after, 10*math.Log10(after/before))
@@ -86,12 +85,11 @@ func TestMLoRaFailsWhenEqualPowerFullyOverlapped(t *testing.T) {
 	}
 }
 
-func TestMLoRaResidualPowerBounds(t *testing.T) {
-	x := []complex128{1, 1, 1, 1}
-	if ResidualPower(x, -5, 10) != 1 {
-		t.Error("clamping failed")
+// power returns the mean of |x[i]|².
+func power(x []complex128) float64 {
+	var e float64
+	for _, v := range x {
+		e += real(v)*real(v) + imag(v)*imag(v)
 	}
-	if ResidualPower(x, 3, 2) != 0 {
-		t.Error("empty range should be 0")
-	}
+	return e / float64(len(x))
 }

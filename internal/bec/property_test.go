@@ -110,9 +110,11 @@ func TestPropRepairMaskIdempotent(t *testing.T) {
 		for r := 0; r < 8; r++ {
 			b.SetRowCodeword(r, lora.HammingEncode(uint8(rng.Intn(16)), cr))
 		}
+		// Fewer columns than the punctured code's minimum distance, which
+		// is cr for CR 2–4 (lora's TestMinDistance pins it).
 		size := 1 + rng.Intn(2)
-		if size >= MinDistanceOf(cr) {
-			size = MinDistanceOf(cr) - 1
+		if size >= cr {
+			size = cr - 1
 		}
 		cols := rng.Perm(4 + cr)[:size]
 		var pi ColSet
@@ -126,10 +128,6 @@ func TestPropRepairMaskIdempotent(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// MinDistanceOf re-exports the punctured code's minimum distance for the
-// property tests.
-func MinDistanceOf(cr int) int { return lora.MinDistance(cr) }
 
 func TestPropPacketDecoderDeterministic(t *testing.T) {
 	// The same corrupted packet decodes identically across decoder

@@ -146,18 +146,3 @@ func (f *Fading) Apply(tx []complex128, sampleRate float64, startSample int) []c
 	}
 	return out
 }
-
-// AveragePowerGain estimates the channel's mean power gain by sampling the
-// tap processes over the given duration. Used in tests to verify the
-// normalization.
-func (f *Fading) AveragePowerGain(duration float64, samples int) float64 {
-	var sum float64
-	for s := 0; s < samples; s++ {
-		t := duration * float64(s) / float64(samples)
-		for _, tp := range f.taps {
-			g := tp.gainAt(t)
-			sum += real(g)*real(g) + imag(g)*imag(g)
-		}
-	}
-	return sum / float64(samples)
-}

@@ -51,12 +51,7 @@ func TestDebugRefineSteps(t *testing.T) {
 	for g := c.window + 1; g <= c.window+8; g++ {
 		start := float64(g * p.SymbolSamples())
 		acc := make([]float64, n)
-		for _, ant := range tr.Antennas {
-			y := d.demod.DownSignalVector(ant, start, 0, 0)
-			for i := range y {
-				acc[i] += y[i]
-			}
-		}
+		d.demod.SumSignalVectorInto(acc, make([]float64, n), make([]complex128, n), tr.Antennas, start, 0, 0, true)
 		bi := 0
 		for i, v := range acc {
 			if v > acc[bi] {

@@ -29,22 +29,24 @@ type Packet struct {
 	Quality   float64 // preamble peak energy, for ordering and SNR estimates
 }
 
+const (
+	// maxCFOHz bounds the CFO search: the paper's hardware stays within
+	// ±4.88 kHz (§8.5).
+	maxCFOHz = 4880.0
+	// minRun is the number of consecutive windows with a stable dechirped
+	// peak required to declare a preamble candidate.
+	minRun = 5
+	// maxPeaksPerWindow bounds the peaks tracked per detection window.
+	maxPeaksPerWindow = 8
+)
+
 // Detector finds LoRa preambles in a trace. Construct with NewDetector.
 type Detector struct {
 	p     lora.Params
 	demod *lora.Demodulator
 
-	// MaxCFOCycles bounds the CFO search; the paper's hardware stays
-	// within ±4.88 kHz (§8.5), i.e. ±4880/BW·N cycles per symbol.
-	MaxCFOCycles float64
-	// MinRun is the number of consecutive windows with a stable dechirped
-	// peak required to declare a preamble candidate.
-	MinRun int
-	// MaxPeaksPerWindow bounds the peaks tracked per detection window.
-	MaxPeaksPerWindow int
-	// MinPeakHeight discards detection peaks below this height (absolute,
-	// in signal-vector units). Zero selects an adaptive threshold.
-	MinPeakHeight float64
+	// maxCFOCycles is maxCFOHz in cycles per symbol, ±4880/BW·N.
+	maxCFOCycles float64
 	// Workers caps the goroutines used by the parallel detection stages —
 	// the per-window transform of the preamble scan and the candidate
 	// refinement (0 → GOMAXPROCS, 1 → serial). Both stages write into
@@ -81,11 +83,9 @@ type Detector struct {
 // NewDetector builds a detector with the paper's defaults.
 func NewDetector(p lora.Params) *Detector {
 	return &Detector{
-		p:                 p,
-		demod:             lora.NewDemodulator(p),
-		MaxCFOCycles:      4880.0 / p.Bandwidth * float64(p.N()),
-		MinRun:            5,
-		MaxPeaksPerWindow: 8,
+		p:            p,
+		demod:        lora.NewDemodulator(p),
+		maxCFOCycles: maxCFOHz / p.Bandwidth * float64(p.N()),
 	}
 }
 
@@ -214,7 +214,7 @@ func (d *Detector) newScanScratch() *scanScratch {
 }
 
 // scanPreambles is step 1: windows of one symbol slide over the trace;
-// a peak persisting across MinRun consecutive windows marks a preamble.
+// a peak persisting across minRun consecutive windows marks a preamble.
 //
 // The per-window work — dechirp + FFT per antenna, the median-based
 // selectivity and the peak search — touches only the read-shared trace and
@@ -310,18 +310,14 @@ func (d *Detector) scanWorker(w, blo, bhi int) {
 			// than the window's range, so a weak preamble is tracked
 			// next to a much stronger collider.
 			g := g0 + r
-			if sel := d.MinPeakHeight; sel != 0 {
-				d.scanPeaks[g] = peaks.FindInto(d.scanPeaks[g], row, sel, d.MaxPeaksPerWindow)
+			med, rot := stats.MedianArgMin(row, sc.med, sc.lastMed)
+			sc.lastMed = med
+			if sel := 6 * med; sel > 0 {
+				d.scanPeaks[g] = peaks.FindIntoAt(d.scanPeaks[g], row, sel, maxPeaksPerWindow, rot)
 			} else {
-				med, rot := stats.MedianArgMin(row, sc.med, sc.lastMed)
-				sc.lastMed = med
-				if sel = 6 * med; sel > 0 {
-					d.scanPeaks[g] = peaks.FindIntoAt(d.scanPeaks[g], row, sel, d.MaxPeaksPerWindow, rot)
-				} else {
-					// Degenerate window (median 0 or NaN): keep FindInto's
-					// default-selectivity handling.
-					d.scanPeaks[g] = peaks.FindInto(d.scanPeaks[g], row, sel, d.MaxPeaksPerWindow)
-				}
+				// Degenerate window (median 0 or NaN): keep FindInto's
+				// default-selectivity handling.
+				d.scanPeaks[g] = peaks.FindInto(d.scanPeaks[g], row, sel, maxPeaksPerWindow)
 			}
 		}
 	}
@@ -336,7 +332,7 @@ type runState struct {
 
 // trackRuns strings the per-window peak lists into preamble candidates: a
 // peak within ±1 bin of a peak in the previous window extends that run, and
-// a run reaching MinRun windows emits a candidate once. The two generations
+// a run reaching minRun windows emits a candidate once. The two generations
 // (previous and current window) live in slice-backed rings keyed by bin with
 // a window stamp marking live entries, so the tracking allocates nothing per
 // window — the stamp check replaces both the map lookups and the per-window
@@ -377,7 +373,7 @@ func (d *Detector) trackRuns(winPeaks [][]peaks.Peak, n int) []candidate {
 				curStamp[pk.Bin] = int32(g)
 				stored = true
 			}
-			if st.count >= d.MinRun && !st.emitted {
+			if st.count >= minRun && !st.emitted {
 				if stored {
 					cur[pk.Bin].emitted = true
 				}
@@ -401,7 +397,7 @@ func (d *Detector) refine(antennas [][]complex128, c candidate, rs *refineScratc
 	acc := rs.acc
 
 	// Locate the downchirp: windows shortly after the run completion
-	// should contain the 2.25 downchirps (the run completes MinRun
+	// should contain the 2.25 downchirps (the run completes minRun
 	// windows into the 8 upchirps, so the downchirps start 3–7 windows
 	// later). Pick the window/bin with maximum down-dechirped energy.
 	bestE, bestBin, bestWin := 0.0, 0, -1
@@ -410,15 +406,7 @@ func (d *Detector) refine(antennas [][]complex128, c candidate, rs *refineScratc
 		if int(start)+sym >= len(antennas[0]) {
 			break
 		}
-		for i := range acc {
-			acc[i] = 0
-		}
-		for _, ant := range antennas {
-			d.demod.DownSignalVectorInto(rs.y, rs.buf, ant, start, 0, 0)
-			for i := range acc {
-				acc[i] += rs.y[i]
-			}
-		}
+		d.demod.SumSignalVectorInto(acc, rs.y, rs.buf, antennas, start, 0, 0, true)
 		bi := peaks.HighestBin(acc)
 		if acc[bi] > bestE {
 			bestE, bestBin, bestWin = acc[bi], bi, g
@@ -436,7 +424,7 @@ func (d *Detector) refine(antennas [][]complex128, c candidate, rs *refineScratc
 	cfo := math.Mod((x1+x2)/2, float64(n))
 	delta := math.Mod((x1-x2)/2, float64(n))
 	cfo, delta = d.resolveAmbiguity(cfo, delta)
-	if math.Abs(cfo) > d.MaxCFOCycles+2 {
+	if math.Abs(cfo) > d.maxCFOCycles+2 {
 		return Packet{}, "cfo_out_of_bounds"
 	}
 
@@ -469,7 +457,7 @@ func (d *Detector) refine(antennas [][]complex128, c candidate, rs *refineScratc
 			found = true
 		}
 	}
-	if !found || math.Abs(best.CFOCycles) > d.MaxCFOCycles+2 {
+	if !found || math.Abs(best.CFOCycles) > d.maxCFOCycles+2 {
 		return Packet{}, "no_valid_start"
 	}
 	return best, ""
@@ -491,7 +479,7 @@ func (d *Detector) resolveAmbiguity(cfo, delta float64) (float64, float64) {
 		return v
 	}
 	cfo = norm(cfo)
-	if math.Abs(cfo) > d.MaxCFOCycles+2 {
+	if math.Abs(cfo) > d.maxCFOCycles+2 {
 		cfo = norm(cfo + n/2)
 		delta += n / 2
 	}
@@ -512,15 +500,7 @@ func (d *Detector) validatePreamble(antennas [][]complex128, start, cfo float64,
 			continue
 		}
 		total++
-		for i := range acc {
-			acc[i] = 0
-		}
-		for _, ant := range antennas {
-			d.demod.SignalVectorInto(rs.y, rs.buf, ant, s, cfo, k)
-			for i := range acc {
-				acc[i] += rs.y[i]
-			}
-		}
+		d.demod.SumSignalVectorInto(acc, rs.y, rs.buf, antennas, s, cfo, k, false)
 		if e, ok := peakNearZero(acc, rs.med); ok {
 			hits++
 			energy += e
@@ -532,15 +512,7 @@ func (d *Detector) validatePreamble(antennas [][]complex128, start, cfo float64,
 	// Downchirp check at start + 10T.
 	s := start + float64(10*sym)
 	if int(s)+sym < len(antennas[0]) && s >= 0 {
-		for i := range acc {
-			acc[i] = 0
-		}
-		for _, ant := range antennas {
-			d.demod.DownSignalVectorInto(rs.y, rs.buf, ant, s, cfo, 10)
-			for i := range acc {
-				acc[i] += rs.y[i]
-			}
-		}
+		d.demod.SumSignalVectorInto(acc, rs.y, rs.buf, antennas, s, cfo, 10, true)
 		e, ok := peakNearZero(acc, rs.med)
 		if !ok {
 			return 0, false

@@ -52,7 +52,9 @@ func TestComputeChirpSweepsColumns(t *testing.T) {
 	// migrate across most of the spectrogram width.
 	p := lora.MustParams(8, 4, 125e3, 8)
 	sig := make([]complex128, p.SymbolSamples())
-	lora.ModulateSymbol(sig, 0, p.N(), p.Bandwidth, p.OSF)
+	for i := range sig {
+		sig[i] = lora.SymbolAt(float64(i)/p.SampleRate(), 0, p.N(), p.Bandwidth)
+	}
 	sg, err := Compute(sig, 128, 64)
 	if err != nil {
 		t.Fatal(err)

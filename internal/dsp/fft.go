@@ -95,21 +95,14 @@ func (p *FFTPlan) Size() int { return p.n }
 // shared plan state — callers must not modify it.
 func (p *FFTPlan) Rev() []int32 { return p.rev }
 
-// Forward computes the in-place forward DFT of x. len(x) must equal the plan
-// size. The transform is unnormalized: Forward followed by Inverse returns
-// the original vector.
+// Forward computes the in-place forward DFT of x, unnormalized. len(x) must
+// equal the plan size.
 func (p *FFTPlan) Forward(x []complex128) {
-	p.transform(x, false)
-}
-
-// Inverse computes the in-place inverse DFT of x, including the 1/n
-// normalization.
-func (p *FFTPlan) Inverse(x []complex128) {
-	p.transform(x, true)
-	scale := complex(1/float64(p.n), 0)
-	for i := range x {
-		x[i] *= scale
+	if len(x) != p.n {
+		panic(fmt.Sprintf("dsp: FFT input length %d != plan size %d", len(x), p.n))
 	}
+	p.bitReverse(x)
+	p.butterflies(x, p.n)
 }
 
 // ForwardMag computes y[i] = |FFT(x)[i]|² in a single pass: the final
@@ -127,7 +120,7 @@ func (p *FFTPlan) ForwardMag(y []float64, x []complex128) {
 		return
 	}
 	p.bitReverse(x)
-	p.butterflies(x, false, n>>1)
+	p.butterflies(x, n>>1)
 	// Final stage fused with the magnitude computation: the butterfly
 	// outputs a = x[i] + w·x[i+half] and b = x[i] − w·x[i+half] are squared
 	// in registers and never stored.
@@ -211,7 +204,7 @@ func (p *FFTPlan) ForwardRev(x []complex128) {
 		panic(fmt.Sprintf("dsp: ForwardRev input length %d != plan size %d", len(x), n))
 	}
 	if n < 8 {
-		p.butterflies(x, false, n)
+		p.butterflies(x, n)
 		return
 	}
 	p.batchStages(x, n)
@@ -318,15 +311,6 @@ func (p *FFTPlan) batchStages(x []complex128, total int) {
 	}
 }
 
-func (p *FFTPlan) transform(x []complex128, inverse bool) {
-	n := p.n
-	if len(x) != n {
-		panic(fmt.Sprintf("dsp: FFT input length %d != plan size %d", len(x), n))
-	}
-	p.bitReverse(x)
-	p.butterflies(x, inverse, n)
-}
-
 // bitReverse applies the plan's bit-reversal permutation in place.
 func (p *FFTPlan) bitReverse(x []complex128) {
 	for i := 0; i < p.n; i++ {
@@ -339,11 +323,11 @@ func (p *FFTPlan) bitReverse(x []complex128) {
 
 // butterflies runs the iterative Cooley-Tukey stages from size 2 up to and
 // including upTo (a power of two ≤ n). The size-2 and size-4 stages are
-// unrolled — their twiddles are exactly 1 and ∓i, so they need no complex
+// unrolled — their twiddles are exactly 1 and −i, so they need no complex
 // multiplies — and every later stage skips the w == 1 multiply of its first
-// butterfly. Multiplying by (1+0i) or (0∓i) is exact in IEEE arithmetic, so
+// butterfly. Multiplying by (1+0i) or (0−i) is exact in IEEE arithmetic, so
 // the specialized stages are bit-identical to the generic loop.
-func (p *FFTPlan) butterflies(x []complex128, inverse bool, upTo int) {
+func (p *FFTPlan) butterflies(x []complex128, upTo int) {
 	n := p.n
 	if upTo >= 2 {
 		// Size-2 stage: w = 1 for every butterfly.
@@ -353,17 +337,12 @@ func (p *FFTPlan) butterflies(x []complex128, inverse bool, upTo int) {
 		}
 	}
 	if upTo >= 4 {
-		// Size-4 stage: w ∈ {1, -i} forward, {1, +i} inverse.
+		// Size-4 stage: w ∈ {1, -i}.
 		for s := 0; s < n; s += 4 {
 			a, b := x[s], x[s+2]
 			x[s], x[s+2] = a+b, a-b
 			c, d := x[s+1], x[s+3]
-			var t complex128
-			if inverse {
-				t = complex(-imag(d), real(d)) // +i·d
-			} else {
-				t = complex(imag(d), -real(d)) // -i·d
-			}
+			t := complex(imag(d), -real(d)) // -i·d
 			x[s+1], x[s+3] = c+t, c-t
 		}
 	}
@@ -376,32 +355,11 @@ func (p *FFTPlan) butterflies(x []complex128, inverse bool, upTo int) {
 			x[start], x[start+half] = a+b, a-b
 			k := step
 			for i := start + 1; i < start+half; i++ {
-				w := p.twiddle[k]
-				if inverse {
-					w = complex(real(w), -imag(w))
-				}
-				t := w * x[i+half]
+				t := p.twiddle[k] * x[i+half]
 				x[i+half] = x[i] - t
 				x[i] += t
 				k += step
 			}
 		}
 	}
-}
-
-// FFT returns the forward DFT of x in a newly allocated slice, leaving x
-// untouched. len(x) must be a power of two.
-func FFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	MustPlan(len(x)).Forward(out)
-	return out
-}
-
-// IFFT returns the normalized inverse DFT of x in a newly allocated slice.
-func IFFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	MustPlan(len(x)).Inverse(out)
-	return out
 }

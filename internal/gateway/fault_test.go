@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,24 +21,25 @@ import (
 )
 
 // startFaultServer boots a server with a private registry and tracer so
-// each test reads exactly what its own connections recorded. mutate tunes
-// the hardening knobs before the listener starts.
-func startFaultServer(t *testing.T, mutate func(*Server)) (addr string, met *Metrics, tracer *obs.Tracer, stop func()) {
+// each test reads exactly what its own connections recorded; conns is the
+// tracer's JSONL export. mutate tunes the hardening knobs before the
+// listener starts.
+func startFaultServer(t *testing.T, mutate func(*Server)) (addr string, met *Metrics, conns *connLog, stop func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := metrics.NewRegistry()
-	tracer = obs.New(obs.Options{})
-	srv := &Server{Log: testLogger(t), Registry: reg, Tracer: tracer}
+	conns = &connLog{}
+	srv := &Server{Log: testLogger(t), Registry: reg, Tracer: obs.New(obs.Options{Sink: conns})}
 	if mutate != nil {
 		mutate(srv)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ctx, ln) }()
-	return ln.Addr().String(), NewMetrics(reg), tracer, func() {
+	return ln.Addr().String(), NewMetrics(reg), conns, func() {
 		cancel()
 		select {
 		case err := <-done:
@@ -178,7 +181,7 @@ func TestGatewayFaultTruncation(t *testing.T) {
 // TestGatewayFaultSlowIO trickles bytes slower than the read deadline and
 // checks the stall is cut off, counted, and attributed.
 func TestGatewayFaultSlowIO(t *testing.T) {
-	addr, met, tracer, stop := startFaultServer(t, func(s *Server) {
+	addr, met, conns, stop := startFaultServer(t, func(s *Server) {
 		s.ReadTimeout = 150 * time.Millisecond
 	})
 	defer stop()
@@ -190,9 +193,7 @@ func TestGatewayFaultSlowIO(t *testing.T) {
 	runScenario(t, addr, sc, tr.Antennas[0][:20_000], Hello{SF: 8, CR: 4})
 
 	waitCounter(t, met.ReadTimeouts, 1)
-	if n := tracer.ConnCounts()[obs.ConnReadTimeout]; n == 0 {
-		t.Error("read timeout not attributed in obs conn events")
-	}
+	waitConnEvents(t, conns, obs.ConnReadTimeout, 1)
 	waitGauge(t, met.ConnectionsActive, 0)
 }
 
@@ -230,7 +231,7 @@ func TestGatewayFaultDuplicateReorder(t *testing.T) {
 // TestGatewayFaultDisconnect aborts the transport mid-stream (RST) and
 // checks the death is counted as a client abort, not a crash.
 func TestGatewayFaultDisconnect(t *testing.T) {
-	addr, met, tracer, stop := startFaultServer(t, nil)
+	addr, met, conns, stop := startFaultServer(t, nil)
 	defer stop()
 
 	tr, _ := soakTrace(t, 913, 2)
@@ -238,16 +239,14 @@ func TestGatewayFaultDisconnect(t *testing.T) {
 	runScenario(t, addr, sc, tr.Antennas[0], Hello{SF: 8, CR: 4})
 
 	waitCounter(t, met.ClientAborts, 1)
-	if n := tracer.ConnCounts()[obs.ConnClientAbort]; n == 0 {
-		t.Error("client abort not attributed in obs conn events")
-	}
+	waitConnEvents(t, conns, obs.ConnClientAbort, 1)
 	waitGauge(t, met.ConnectionsActive, 0)
 }
 
 // TestGatewayFaultCorruptHello flips bytes in the hello line and checks
 // the typed bad_hello verdict, the metric, and the obs attribution.
 func TestGatewayFaultCorruptHello(t *testing.T) {
-	addr, met, tracer, stop := startFaultServer(t, nil)
+	addr, met, conns, stop := startFaultServer(t, nil)
 	defer stop()
 
 	// Across several seeds every corrupted hello must either draw a typed
@@ -268,7 +267,8 @@ func TestGatewayFaultCorruptHello(t *testing.T) {
 		t.Fatal("no corrupted hello drew a rejection in 5 seeds")
 	}
 	waitCounter(t, met.HelloRejected, uint64(rejections))
-	if n := tracer.ConnCounts()[obs.ConnHelloRejected]; n != uint64(rejections) {
+	waitConnEvents(t, conns, obs.ConnHelloRejected, rejections)
+	if n := conns.count(obs.ConnHelloRejected); n != rejections {
 		t.Errorf("obs hello_rejected = %d, want %d", n, rejections)
 	}
 }
@@ -361,7 +361,7 @@ func TestGatewayFaultIQSilence(t *testing.T) {
 // the typed sample_limit verdict, the metric, and the obs event.
 func TestGatewaySampleLimit(t *testing.T) {
 	const sampleCap = 200_000
-	addr, met, tracer, stop := startFaultServer(t, func(s *Server) {
+	addr, met, conns, stop := startFaultServer(t, func(s *Server) {
 		s.MaxSamplesPerConn = sampleCap
 	})
 	defer stop()
@@ -382,7 +382,8 @@ func TestGatewaySampleLimit(t *testing.T) {
 		t.Errorf("verdict code %q, want %q", ge.Code, CodeSampleLimit)
 	}
 	waitCounter(t, met.SampleLimit, 1)
-	if n := tracer.ConnCounts()[obs.ConnSampleLimit]; n != 1 {
+	waitConnEvents(t, conns, obs.ConnSampleLimit, 1)
+	if n := conns.count(obs.ConnSampleLimit); n != 1 {
 		t.Errorf("obs sample_limit = %d, want 1", n)
 	}
 	waitGauge(t, met.ConnectionsActive, 0)
@@ -392,7 +393,7 @@ func TestGatewaySampleLimit(t *testing.T) {
 // surplus client gets a retryable typed verdict, then succeeds once the
 // budget frees up via DialBackoff.
 func TestGatewayOverloadShed(t *testing.T) {
-	addr, met, tracer, stop := startFaultServer(t, func(s *Server) {
+	addr, met, conns, stop := startFaultServer(t, func(s *Server) {
 		s.MaxConns = 1
 	})
 	defer stop()
@@ -413,7 +414,8 @@ func TestGatewayOverloadShed(t *testing.T) {
 		t.Errorf("verdict = %+v, want retryable %s", ge, CodeOverloaded)
 	}
 	waitCounter(t, met.OverloadShed, 1)
-	if n := tracer.ConnCounts()[obs.ConnOverloadShed]; n != 1 {
+	waitConnEvents(t, conns, obs.ConnOverloadShed, 1)
+	if n := conns.count(obs.ConnOverloadShed); n != 1 {
 		t.Errorf("obs overload_shed = %d, want 1", n)
 	}
 
@@ -507,6 +509,9 @@ func TestGatewayShutdownDrains(t *testing.T) {
 	if err := c.Send(samples[:len(samples)/2]); err != nil {
 		t.Fatal(err)
 	}
+	// The shard exists once the handler is past the hello; only then is
+	// the connection in flight rather than closed by the drain.
+	waitShards(t, srv, 1)
 	shutDone := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -516,9 +521,11 @@ func TestGatewayShutdownDrains(t *testing.T) {
 	// New connections must be refused once shutdown began.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, derr := net.DialTimeout("tcp", ln.Addr().String(), time.Second); derr != nil {
+		probe, derr := net.DialTimeout("tcp", ln.Addr().String(), time.Second)
+		if derr != nil {
 			break
 		}
+		probe.Close()
 		if time.Now().After(deadline) {
 			t.Error("listener still accepting after Shutdown")
 			break
@@ -566,6 +573,7 @@ func TestGatewayShutdownForceCloses(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.Write([]byte(`{"sf": 8}` + "\n")) // valid hello, then wedge
+	waitShards(t, srv, 1)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
@@ -582,7 +590,59 @@ func TestGatewayShutdownForceCloses(t *testing.T) {
 	}
 }
 
+// TestGatewayShutdownClosesSilentConn checks that a client which connected
+// but never sent its hello does not hold up the drain: Shutdown closes it
+// and returns well inside its budget instead of waiting out the hello read
+// timeout.
+func TestGatewayShutdownClosesSilentConn(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	srv := &Server{Log: testLogger(t), Registry: reg}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(context.Background(), ln) }()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	met := NewMetrics(reg)
+	waitGaugeAtLeast(t, met.ConnectionsActive, 1)
+
+	const budget = 10 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
+	begin := time.Now()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Errorf("Shutdown = %v, want nil", err)
+	}
+	if took := time.Since(begin); took > budget/4 {
+		t.Errorf("Shutdown took %v with no decode in flight", took)
+	}
+	if err := <-serveDone; err != nil {
+		t.Errorf("Serve = %v, want nil", err)
+	}
+	if n := met.HelloRejected.Value(); n != 0 {
+		t.Errorf("hello_rejected = %d, want 0 for a connection closed by the drain", n)
+	}
+	waitGauge(t, met.ConnectionsActive, 0)
+}
+
 // --- small polling helpers -------------------------------------------------
+
+func waitShards(t *testing.T, srv *Server, want int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.ShardCount() < want && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := srv.ShardCount(); n < want {
+		t.Errorf("shards = %d, want ≥ %d", n, want)
+	}
+}
 
 func waitCounter(t *testing.T, c *metrics.Counter, want uint64) {
 	t.Helper()
@@ -614,6 +674,44 @@ func waitGaugeAtLeast(t *testing.T, g *metrics.Gauge, want int64) {
 	}
 	if v := g.Value(); v < want {
 		t.Errorf("gauge = %d, want ≥ %d", v, want)
+	}
+}
+
+// connLog is a tracer sink that keeps the exported JSONL for counting conn
+// events; the server writes it while the test reads.
+type connLog struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (l *connLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+// count returns how many exported conn records carry event.
+func (l *connLog) count(event string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, line := range bytes.Split(l.buf.Bytes(), []byte("\n")) {
+		var ev obs.ConnEvent
+		if json.Unmarshal(line, &ev) == nil && ev.Type == obs.TypeConn && ev.Event == event {
+			n++
+		}
+	}
+	return n
+}
+
+func waitConnEvents(t *testing.T, l *connLog, event string, want int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for l.count(event) < want && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := l.count(event); n < want {
+		t.Errorf("obs %s events = %d, want ≥ %d", event, n, want)
 	}
 }
 

@@ -171,17 +171,10 @@ type Server struct {
 	// MaxBufferSamples overrides the per-connection decode-buffer ceiling
 	// (stream.Config.MaxBufferSamples semantics).
 	MaxBufferSamples int
-	// ShardQueue is the per-(channel, SF) shard queue depth in decode
-	// batches. 0 selects DefaultShardQueue.
-	ShardQueue int
-	// ShardWait bounds how long a connection waits for room on its shard's
-	// queue before being shed with a shard_overload verdict. 0 selects
-	// DefaultShardWait; negative sheds immediately.
-	ShardWait time.Duration
 
 	mu       sync.Mutex
 	ln       net.Listener
-	conns    map[net.Conn]struct{}
+	conns    map[net.Conn]bool // live connections: true once past the hello
 	wg       sync.WaitGroup
 	active   atomic.Int64
 	shutdown atomic.Bool
@@ -204,7 +197,7 @@ func (s *Server) shards() *sharder {
 			reg := s.Registry
 			newSM = func(k ShardKey) *ShardMetrics { return NewShardMetrics(reg, k) }
 		}
-		s.sh = newSharder(s.ShardQueue, met, newSM)
+		s.sh = newSharder(shardQueue, met, newSM)
 	})
 	return s.sh
 }
@@ -247,23 +240,61 @@ func (s *Server) writeTimeout() time.Duration {
 	return s.WriteTimeout
 }
 
-// track registers/unregisters a live connection for Shutdown's force-close.
+// track registers/unregisters a live connection for Shutdown. A connection
+// registered after the drain began is closed at once: it can no longer get
+// past its hello.
 func (s *Server) track(conn net.Conn, on bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.conns == nil {
-		s.conns = make(map[net.Conn]struct{})
+		s.conns = make(map[net.Conn]bool)
 	}
-	if on {
-		s.conns[conn] = struct{}{}
-	} else {
+	if !on {
 		delete(s.conns, conn)
+		return
+	}
+	s.conns[conn] = false
+	if s.shutdown.Load() {
+		conn.Close()
+	}
+}
+
+// admit marks conn as past its hello, so the drain waits for its decodes.
+// It reports false once the drain has begun, which closes every connection
+// still short of its hello, conn included.
+func (s *Server) admit(conn net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.shutdown.Load() {
+		return false
+	}
+	s.conns[conn] = true
+	return true
+}
+
+// stopAccepting begins the drain: it closes the listener and every
+// connection that has not got past its hello. Those handlers would
+// otherwise block on the hello read for the whole read timeout, holding up
+// the drain with no decode in flight. Holding s.mu orders this against
+// admit.
+func (s *Server) stopAccepting() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.shutdown.Store(true)
+	if s.ln != nil {
+		s.ln.Close()
+	}
+	for c, admitted := range s.conns {
+		if !admitted {
+			c.Close()
+		}
 	}
 }
 
 // Serve accepts connections on ln until the context is canceled, Shutdown
 // is called, or the listener fails. It blocks, and on the way out waits for
-// every in-flight connection to finish its decodes (the drain).
+// every in-flight connection to finish its decodes (the drain); connections
+// that have not sent their hello are closed instead.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	s.mu.Lock()
 	s.ln = ln
@@ -271,7 +302,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 
 	go func() {
 		<-ctx.Done()
-		ln.Close()
+		s.stopAccepting()
 	}()
 	for {
 		conn, err := ln.Accept()
@@ -301,17 +332,13 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	}
 }
 
-// Shutdown stops accepting and drains in-flight connections: it blocks
-// until every handler has finished (flushing its final decodes) or the
-// context expires, at which point lingering connections are force-closed
-// and their handlers reaped. Safe to call concurrently with Serve.
+// Shutdown stops accepting and drains in-flight connections: it closes
+// connections that have not sent their hello yet, then blocks until every
+// other handler has finished (flushing its final decodes) or the context
+// expires, at which point lingering connections are force-closed and their
+// handlers reaped. Safe to call concurrently with Serve.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.shutdown.Store(true)
-	s.mu.Lock()
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	s.mu.Unlock()
+	s.stopAccepting()
 
 	done := make(chan struct{})
 	go func() {
@@ -428,6 +455,9 @@ func (s *Server) handle(conn net.Conn, log *slog.Logger) error {
 
 	line, err := readLineLimit(br, maxHelloBytes)
 	if err != nil {
+		if s.shutdown.Load() {
+			return nil // closed by the drain before its hello arrived
+		}
 		if isTimeout(err) {
 			met.onReadTimeout()
 			s.Tracer.OnConn(obs.ConnReadTimeout, remote, "reading hello")
@@ -450,6 +480,9 @@ func (s *Server) handle(conn net.Conn, log *slog.Logger) error {
 		return reject(err)
 	}
 	useBEC := hello.UseBEC == nil || *hello.UseBEC
+	if !s.admit(conn) {
+		return nil // the drain began before this hello was accepted
+	}
 
 	// Tracing: the server's tracer (ops export) if present; a hello that
 	// requests summaries without one gets a connection-local tracer so
@@ -480,7 +513,7 @@ func (s *Server) handle(conn net.Conn, log *slog.Logger) error {
 		return errors.New("gateway: server is draining")
 	}
 	runShard := func(do func() shardResult) ([]stream.Decoded, error) {
-		ds, err := shard.exec(s.ShardWait, do)
+		ds, err := shard.exec(shardWait, do)
 		var soe *ShardOverloadError
 		if errors.As(err, &soe) {
 			met.onShardOverload()

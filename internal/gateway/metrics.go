@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"fmt"
-	"sync"
 
 	"tnb/internal/metrics"
 )
@@ -81,17 +80,6 @@ func (m *ShardMetrics) onDequeue() {
 	if m != nil {
 		m.QueueDepth.Dec()
 	}
-}
-
-var (
-	defaultMetricsOnce sync.Once
-	defaultMetrics     *Metrics
-)
-
-// DefaultMetrics returns the shared gateway instruments on metrics.Default.
-func DefaultMetrics() *Metrics {
-	defaultMetricsOnce.Do(func() { defaultMetrics = NewMetrics(metrics.Default) })
-	return defaultMetrics
 }
 
 func (m *Metrics) onConnOpen() {

@@ -27,11 +27,11 @@ import (
 // (the EU868/US915 8-channel baseline). Hello.Channel must be below it.
 const MaxChannels = 8
 
-// Default shard-queue sizing: how many decode batches may wait per shard,
-// and how long a submit waits for room before the connection is shed.
+// Shard-queue sizing: how many decode batches may wait per shard, and how
+// long a submit waits for room before the connection is shed.
 const (
-	DefaultShardQueue = 16
-	DefaultShardWait  = 10 * time.Second
+	shardQueue = 16
+	shardWait  = 10 * time.Second
 )
 
 // ShardKey identifies one (channel, SF) decode shard.
@@ -89,17 +89,14 @@ func (sh *shard) run(wg *sync.WaitGroup) {
 	}
 }
 
-// submit enqueues a job, waiting up to wait for room. wait == 0 selects
-// DefaultShardWait; negative sheds immediately when the queue is full.
+// submit enqueues a job, waiting up to wait for room; a non-positive wait
+// sheds immediately when the queue is full.
 func (sh *shard) submit(job shardJob, wait time.Duration) error {
 	select {
 	case sh.jobs <- job:
 		sh.met.onEnqueue()
 		return nil
 	default:
-	}
-	if wait == 0 {
-		wait = DefaultShardWait
 	}
 	if wait > 0 {
 		t := time.NewTimer(wait)
@@ -146,9 +143,6 @@ type registryRef struct {
 }
 
 func newSharder(queue int, amet *Metrics, newSM func(ShardKey) *ShardMetrics) *sharder {
-	if queue <= 0 {
-		queue = DefaultShardQueue
-	}
 	return &sharder{
 		shards: make(map[ShardKey]*shard),
 		queue:  queue,

@@ -58,13 +58,3 @@ func DownchirpAt(t float64, n int, bw float64) complex128 {
 	v := dsp.Cis(chirpPhase(t, 0, n, bw))
 	return complex(real(v), -imag(v))
 }
-
-// ModulateSymbol synthesizes one oversampled upchirp symbol with shift h
-// into dst, which must have length n·osf. The symbol is sampled at
-// t = i/(bw·osf).
-func ModulateSymbol(dst []complex128, h, n int, bw float64, osf int) {
-	fs := bw * float64(osf)
-	for i := range dst {
-		dst[i] = SymbolAt(float64(i)/fs, h, n, bw)
-	}
-}

@@ -202,9 +202,10 @@ func NibblesFromBlocks(headerBlock *Block, payloadBlocks []*Block) []uint8 {
 	return nib
 }
 
-// cleanBlock applies the default Hamming decoder row by row, returning the
+// CleanBlock applies the default Hamming decoder row by row, returning the
 // cleaned block (every row snapped to the nearest codeword, paper Fig. 2).
-func cleanBlock(b *Block, cr int) *Block {
+// BEC uses it to compute the cleaned block Γ.
+func CleanBlock(b *Block, cr int) *Block {
 	out := NewBlock(b.Rows, b.Cols)
 	for r := 0; r < b.Rows; r++ {
 		data, _, _ := HammingDecodeDefault(b.RowCodeword(r), cr)
@@ -212,10 +213,6 @@ func cleanBlock(b *Block, cr int) *Block {
 	}
 	return out
 }
-
-// CleanBlock is the exported form of the default per-row decoder, used by
-// BEC to compute the cleaned block Γ.
-func CleanBlock(b *Block, cr int) *Block { return cleanBlock(b, cr) }
 
 // DecodeResult reports a frame decode.
 type DecodeResult struct {
@@ -228,7 +225,7 @@ type DecodeResult struct {
 // Hamming decoder: the baseline LoRaPHY behaviour.
 func DecodeDefault(p Params, shifts []int) DecodeResult {
 	hb := HeaderBlockFromShifts(p, shifts)
-	hClean := cleanBlock(hb, 4)
+	hClean := CleanBlock(hb, 4)
 	var hdrNib []uint8
 	for r := 0; r < headerNibbles && r < hClean.Rows; r++ {
 		hdrNib = append(hdrNib, hClean.RowCodeword(r)>>4)
@@ -246,7 +243,7 @@ func DecodeDefault(p Params, shifts []int) DecodeResult {
 	blocks := PayloadBlocksFromShifts(pp, shifts, lay.PayloadBlocks)
 	cleaned := make([]*Block, len(blocks))
 	for i, b := range blocks {
-		cleaned[i] = cleanBlock(b, pp.CR)
+		cleaned[i] = CleanBlock(b, pp.CR)
 	}
 	nib := NibblesFromBlocks(hClean, cleaned)
 	payload, ok := bytesFromNibbles(nib, hdr.PayloadLen)
@@ -269,104 +266,4 @@ func HeaderFromCleanBlock(b *Block) (Header, bool) {
 func AssemblePayload(headerBlock *Block, payloadBlocks []*Block, payloadLen int) ([]uint8, bool) {
 	nib := NibblesFromBlocks(headerBlock, payloadBlocks)
 	return bytesFromNibbles(nib, payloadLen)
-}
-
-// Implicit-header mode. LoRa can omit the explicit PHY header when both
-// sides agree on the payload length and coding rate out of band (SF 6
-// requires it). The reduced-rate first block is kept — its robustness
-// protects the start of the payload — but all of its rows carry payload
-// nibbles.
-
-// ImplicitLayout computes the frame layout for implicit-header mode.
-func ImplicitLayout(p Params, payloadLen int) (Layout, error) {
-	if err := p.Validate(); err != nil {
-		return Layout{}, err
-	}
-	if payloadLen < 0 || payloadLen > 255 {
-		return Layout{}, fmt.Errorf("lora: payload length %d out of range [0, 255]", payloadLen)
-	}
-	nib := totalNibbles(payloadLen)
-	rest := nib - p.headerRows()
-	if rest < 0 {
-		rest = 0
-	}
-	rows := p.payloadRows()
-	blocks := (rest + rows - 1) / rows
-	return Layout{
-		Params:        p,
-		PayloadLen:    payloadLen,
-		TotalNibbles:  nib,
-		HeaderRows:    p.headerRows(),
-		PayloadBlocks: blocks,
-		DataSymbols:   HeaderSymbols + blocks*p.codewordLen(),
-	}, nil
-}
-
-// EncodeImplicit maps a payload to chirp shifts without a PHY header.
-func EncodeImplicit(p Params, payload []uint8) ([]int, Layout, error) {
-	lay, err := ImplicitLayout(p, len(payload))
-	if err != nil {
-		return nil, Layout{}, err
-	}
-	nib := airNibbles(payload)
-	take := func(i int) uint8 {
-		if i < len(nib) {
-			return nib[i]
-		}
-		return 0
-	}
-
-	shifts := make([]int, 0, lay.DataSymbols)
-	pos := 0
-	fb := NewBlock(lay.HeaderRows, 8) // reduced-rate first block, CR 4
-	for r := 0; r < fb.Rows; r++ {
-		fb.SetRowCodeword(r, HammingEncode(take(pos), 4))
-		pos++
-	}
-	for _, bits := range fb.Interleave() {
-		shifts = append(shifts, int(GrayInverse(bits))<<2)
-	}
-	rows := p.payloadRows()
-	for b := 0; b < lay.PayloadBlocks; b++ {
-		blk := NewBlock(rows, p.codewordLen())
-		for r := 0; r < rows; r++ {
-			blk.SetRowCodeword(r, HammingEncode(take(pos), p.CR))
-			pos++
-		}
-		for _, bits := range blk.Interleave() {
-			if p.LDRO {
-				shifts = append(shifts, int(GrayInverse(bits))<<2)
-			} else {
-				shifts = append(shifts, int(GrayInverse(bits)))
-			}
-		}
-	}
-	return shifts, lay, nil
-}
-
-// DecodeImplicitDefault decodes an implicit-header frame of a known payload
-// length with the default per-codeword decoder.
-func DecodeImplicitDefault(p Params, shifts []int, payloadLen int) DecodeResult {
-	lay, err := ImplicitLayout(p, payloadLen)
-	if err != nil {
-		return DecodeResult{}
-	}
-	fb := HeaderBlockFromShifts(p, shifts) // same reduced-rate geometry
-	fClean := cleanBlock(fb, 4)
-	blocks := PayloadBlocksFromShifts(p, shifts, lay.PayloadBlocks)
-	cleaned := make([]*Block, len(blocks))
-	for i, b := range blocks {
-		cleaned[i] = cleanBlock(b, p.CR)
-	}
-	var nib []uint8
-	for r := 0; r < fClean.Rows; r++ {
-		nib = append(nib, fClean.RowCodeword(r)>>4)
-	}
-	for _, blk := range cleaned {
-		for r := 0; r < blk.Rows; r++ {
-			nib = append(nib, blk.RowCodeword(r)>>4)
-		}
-	}
-	payload, ok := bytesFromNibbles(nib, payloadLen)
-	return DecodeResult{Header: Header{PayloadLen: payloadLen, CR: p.CR, HasCRC: true}, Payload: payload, OK: ok}
 }

@@ -41,7 +41,8 @@ func TestWhitenSelfInverse(t *testing.T) {
 }
 
 func TestWhitenSequenceNontrivial(t *testing.T) {
-	seq := WhitenSequence(256)
+	seq := make([]uint8, 256)
+	Whiten(seq) // whitening zeros yields the sequence itself
 	// The LFSR must not get stuck and must produce a rich sequence.
 	seen := map[uint8]bool{}
 	for _, b := range seq {

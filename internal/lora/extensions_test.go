@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// Tests for the LDRO and implicit-header extensions.
+// Tests for the LDRO extension.
 
 func TestLDRORoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(600))
@@ -69,91 +69,5 @@ func TestLDROUsesMoreSymbols(t *testing.T) {
 	p.LDRO = true
 	if ldro := p.PayloadSymbols(20); ldro <= plain {
 		t.Errorf("LDRO symbols %d should exceed plain %d", ldro, plain)
-	}
-}
-
-func TestImplicitHeaderRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(602))
-	for _, sf := range []int{7, 8, 10} {
-		for cr := 1; cr <= 4; cr++ {
-			p := MustParams(sf, cr, 125e3, 8)
-			for _, ln := range []int{0, 3, 16, 33} {
-				payload := make([]uint8, ln)
-				rng.Read(payload)
-				shifts, lay, err := EncodeImplicit(p, payload)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(shifts) != lay.DataSymbols {
-					t.Fatalf("shift count %d vs layout %d", len(shifts), lay.DataSymbols)
-				}
-				res := DecodeImplicitDefault(p, shifts, ln)
-				if !res.OK || !bytes.Equal(res.Payload, payload) {
-					t.Fatalf("SF%d CR%d len%d: implicit decode failed", sf, cr, ln)
-				}
-			}
-		}
-	}
-}
-
-func TestImplicitShorterThanExplicit(t *testing.T) {
-	// Implicit mode saves the 5 header nibbles, so it never uses more
-	// symbols than explicit mode.
-	for _, sf := range []int{7, 8, 10, 12} {
-		for cr := 1; cr <= 4; cr++ {
-			p := MustParams(sf, cr, 125e3, 8)
-			for _, ln := range []int{0, 16, 64} {
-				el, err := NewLayout(p, ln)
-				if err != nil {
-					t.Fatal(err)
-				}
-				il, err := ImplicitLayout(p, ln)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if il.DataSymbols > el.DataSymbols {
-					t.Errorf("SF%d CR%d len%d: implicit %d > explicit %d symbols",
-						sf, cr, ln, il.DataSymbols, el.DataSymbols)
-				}
-			}
-		}
-	}
-}
-
-func TestImplicitWorksAtSF6Geometry(t *testing.T) {
-	// SF 6 has no explicit header mode; the implicit path must work with
-	// its 4-row first block.
-	p := MustParams(6, 4, 125e3, 8)
-	payload := []uint8{0xAB, 0xCD}
-	shifts, _, err := EncodeImplicit(p, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := DecodeImplicitDefault(p, shifts, len(payload))
-	if !res.OK || !bytes.Equal(res.Payload, payload) {
-		t.Fatal("SF6 implicit round trip failed")
-	}
-}
-
-func TestImplicitRejectsBadLength(t *testing.T) {
-	p := MustParams(8, 4, 125e3, 8)
-	if _, _, err := EncodeImplicit(p, make([]uint8, 300)); err == nil {
-		t.Error("expected error for oversized payload")
-	}
-	res := DecodeImplicitDefault(p, []int{1, 2, 3}, 300)
-	if res.OK {
-		t.Error("oversized length should fail")
-	}
-}
-
-func TestImplicitWrongLengthFailsCRC(t *testing.T) {
-	p := MustParams(8, 3, 125e3, 8)
-	payload := []uint8("right length")
-	shifts, _, err := EncodeImplicit(p, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := DecodeImplicitDefault(p, shifts, len(payload)+1); res.OK {
-		t.Error("wrong advertised length must fail the CRC")
 	}
 }

@@ -102,31 +102,3 @@ func HammingDecodeDefault(received uint8, cr int) (data uint8, dist int, ambiguo
 	}
 	return best, bestDist, ties > 1
 }
-
-// PuncturedCodeword returns the first 4+cr bits of the complete codeword for
-// nibble d, left-aligned (same layout as HammingEncode for cr ≥ 2).
-func PuncturedCodeword(d uint8, cr int) uint8 {
-	mask := uint8(0xFF) << uint(8-(4+cr))
-	return Codebook16[d&0x0F] & mask
-}
-
-// MinDistance returns the minimum Hamming distance of the punctured code at
-// coding rate cr (cr 1 uses the checksum construction).
-func MinDistance(cr int) int {
-	if cr == 1 {
-		// 5-bit code: 4 data bits + XOR checksum; weight of any nonzero
-		// codeword is at least 2.
-		return 2
-	}
-	mask := uint8(0xFF) << uint(8-(4+cr))
-	minD := 9
-	for a := 0; a < 16; a++ {
-		for b := a + 1; b < 16; b++ {
-			d := popcount8((Codebook16[a] ^ Codebook16[b]) & mask)
-			if d < minD {
-				minD = d
-			}
-		}
-	}
-	return minD
-}

@@ -32,7 +32,7 @@ func TestCompanionExampleFromPaper(t *testing.T) {
 	target := uint8(0b01100010) // columns 2, 3, 7 set (bit 7 = column 1)
 	found := false
 	for d := 0; d < 16; d++ {
-		if PuncturedCodeword(uint8(d), 3) == target {
+		if HammingEncode(uint8(d), 3) == target {
 			found = true
 		}
 	}
@@ -41,11 +41,30 @@ func TestCompanionExampleFromPaper(t *testing.T) {
 	}
 }
 
+// minDistance returns the minimum Hamming distance of the punctured code at
+// coding rate cr (cr 1 uses the checksum construction: 4 data bits + XOR
+// checksum, so any nonzero codeword has weight at least 2).
+func minDistance(cr int) int {
+	if cr == 1 {
+		return 2
+	}
+	mask := uint8(0xFF) << uint(8-(4+cr))
+	minD := 9
+	for a := 0; a < 16; a++ {
+		for b := a + 1; b < 16; b++ {
+			if d := popcount8((Codebook16[a] ^ Codebook16[b]) & mask); d < minD {
+				minD = d
+			}
+		}
+	}
+	return minD
+}
+
 func TestMinDistance(t *testing.T) {
 	cases := map[int]int{1: 2, 2: 2, 3: 3, 4: 4}
 	for cr, want := range cases {
-		if got := MinDistance(cr); got != want {
-			t.Errorf("MinDistance(CR%d) = %d, want %d", cr, got, want)
+		if got := minDistance(cr); got != want {
+			t.Errorf("minDistance(CR%d) = %d, want %d", cr, got, want)
 		}
 	}
 }
@@ -125,15 +144,14 @@ func TestHammingLinearity(t *testing.T) {
 	}
 }
 
+// TestPuncturedCodewordMask checks HammingEncode's CR 2–4 codewords are the
+// complete codeword of Codebook16 cut to its first 4+cr bits.
 func TestPuncturedCodewordMask(t *testing.T) {
 	for cr := 2; cr <= 4; cr++ {
+		mask := uint8(0xFF) << uint(8-(4+cr))
 		for d := uint8(0); d < 16; d++ {
-			pc := PuncturedCodeword(d, cr)
-			if pc != HammingEncode(d, cr) {
-				t.Errorf("CR%d d=%d: punctured %08b vs encode %08b", cr, d, pc, HammingEncode(d, cr))
-			}
-			if low := pc & (0xFF >> uint(4+cr)); low != 0 {
-				t.Errorf("CR%d d=%d: punctured bits leak: %08b", cr, d, pc)
+			if got, want := HammingEncode(d, cr), Codebook16[d]&mask; got != want {
+				t.Errorf("CR%d d=%d: encode %08b, punctured codeword %08b", cr, d, got, want)
 			}
 		}
 	}

@@ -31,14 +31,6 @@ func (w *Waveform) Duration() float64 {
 	return (PreambleUpchirps + SyncSymbols + float64(DownchirpQuarters)/4 + float64(len(w.shifts))) * w.T
 }
 
-// NumDataSymbols returns the number of data symbols in the packet.
-func (w *Waveform) NumDataSymbols() int { return len(w.shifts) }
-
-// DataStart returns the time offset of the first data symbol.
-func (w *Waveform) DataStart() float64 {
-	return (PreambleUpchirps + SyncSymbols + float64(DownchirpQuarters)/4) * w.T
-}
-
 // At evaluates the baseband waveform at time t seconds from the packet
 // start. Times outside [0, Duration) return 0.
 func (w *Waveform) At(t float64) complex128 {
@@ -113,10 +105,6 @@ func NewDemodulator(p Params) *Demodulator {
 // Params returns the demodulator's parameter set.
 func (d *Demodulator) Params() Params { return d.p }
 
-// workBuffers returns scratch space; callers that demodulate many symbols
-// should reuse buffers via DechirpInto.
-func (d *Demodulator) newBuf() []complex128 { return make([]complex128, d.p.N()) }
-
 // DechirpInto extracts the symbol starting at the (fractional) receiver
 // sample position start from rx, dechirps it against the base downchirp,
 // applies the CFO correction for cfoCycles (CFO expressed in cycles per
@@ -168,13 +156,6 @@ func (d *Demodulator) ForwardMagBatch(y []float64, xb []complex128, rows int) {
 	d.plan.ForwardMagBatch(y, xb, rows)
 }
 
-// SignalVector is the allocating convenience form of SignalVectorInto.
-func (d *Demodulator) SignalVector(rx []complex128, start float64, cfoCycles float64, symIndex int) []float64 {
-	y := make([]float64, d.p.N())
-	d.SignalVectorInto(y, d.newBuf(), rx, start, cfoCycles, symIndex)
-	return y
-}
-
 // DownSignalVectorInto computes |FFT(symbol ⊙ C)|² into y (length N),
 // reusing buf (length N) as scratch — the downchirp counterpart of
 // SignalVectorInto, used by the detector's hot path.
@@ -183,22 +164,20 @@ func (d *Demodulator) DownSignalVectorInto(y []float64, buf []complex128, rx []c
 	d.plan.ForwardMag(y, buf)
 }
 
-// DownSignalVector computes |FFT(symbol ⊙ C)|², peaking for downchirps.
-func (d *Demodulator) DownSignalVector(rx []complex128, start float64, cfoCycles float64, symIndex int) []float64 {
-	y := make([]float64, d.p.N())
-	d.DownSignalVectorInto(y, d.newBuf(), rx, start, cfoCycles, symIndex)
-	return y
-}
-
-// HardDemod returns the strongest-bin shift of the symbol at start: the
-// classic single-user LoRa demodulation.
-func (d *Demodulator) HardDemod(rx []complex128, start float64, cfoCycles float64, symIndex int) int {
-	y := d.SignalVector(rx, start, cfoCycles, symIndex)
-	best, bi := 0.0, 0
-	for i, v := range y {
-		if v > best {
-			best, bi = v, i
+// SumSignalVectorInto writes into acc (length N) the signal vector of the
+// symbol at start summed over antennas: acc is zeroed, then each antenna's
+// SignalVectorInto (DownSignalVectorInto when down) is added in antenna
+// order. y and buf (length N) are scratch.
+func (d *Demodulator) SumSignalVectorInto(acc, y []float64, buf []complex128, antennas [][]complex128, start float64, cfoCycles float64, symIndex int, down bool) {
+	clear(acc)
+	for _, ant := range antennas {
+		if down {
+			d.DownSignalVectorInto(y, buf, ant, start, cfoCycles, symIndex)
+		} else {
+			d.SignalVectorInto(y, buf, ant, start, cfoCycles, symIndex)
+		}
+		for i := range acc {
+			acc[i] += y[i]
 		}
 	}
-	return bi
 }

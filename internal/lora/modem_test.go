@@ -46,13 +46,53 @@ func cisTest(th float64) complex128 {
 	return complex(c, s)
 }
 
+// modulateSymbol synthesizes one oversampled upchirp symbol with shift h
+// into dst (length N·OSF), sampled at t = i/(bw·osf).
+func modulateSymbol(dst []complex128, h int, p Params) {
+	fs := p.SampleRate()
+	for i := range dst {
+		dst[i] = SymbolAt(float64(i)/fs, h, p.N(), p.Bandwidth)
+	}
+}
+
+// signalVector is SignalVectorInto (DownSignalVectorInto when down) into
+// fresh buffers.
+func signalVector(d *Demodulator, rx []complex128, start, cfoCycles float64, symIndex int, down bool) []float64 {
+	n := d.Params().N()
+	y := make([]float64, n)
+	if down {
+		d.DownSignalVectorInto(y, make([]complex128, n), rx, start, cfoCycles, symIndex)
+	} else {
+		d.SignalVectorInto(y, make([]complex128, n), rx, start, cfoCycles, symIndex)
+	}
+	return y
+}
+
+// hardDemod is classic single-user LoRa demodulation: the strongest bin of
+// the symbol's signal vector.
+func hardDemod(d *Demodulator, rx []complex128, start, cfoCycles float64, symIndex int) int {
+	y := signalVector(d, rx, start, cfoCycles, symIndex, false)
+	best, bi := 0.0, 0
+	for i, v := range y {
+		if v > best {
+			best, bi = v, i
+		}
+	}
+	return bi
+}
+
+// dataStartSeconds is the time offset of a packet's first data symbol.
+func dataStartSeconds(p Params) float64 {
+	return (PreambleUpchirps + SyncSymbols + float64(DownchirpQuarters)/4) * p.SymbolDuration()
+}
+
 func TestModulateDemodAllShifts(t *testing.T) {
 	p := MustParams(8, 4, 125e3, 8)
 	d := NewDemodulator(p)
 	buf := make([]complex128, p.SymbolSamples())
 	for h := 0; h < p.N(); h += 7 {
-		ModulateSymbol(buf, h, p.N(), p.Bandwidth, p.OSF)
-		if got := d.HardDemod(buf, 0, 0, 0); got != h {
+		modulateSymbol(buf, h, p)
+		if got := hardDemod(d, buf, 0, 0, 0); got != h {
 			t.Fatalf("h=%d demodulated as %d", h, got)
 		}
 	}
@@ -70,10 +110,10 @@ func TestDemodWithIntegerTimingOffset(t *testing.T) {
 	w := NewWaveform(p, shifts)
 	sig := w.Render(0, 0, 0)
 	d := NewDemodulator(p)
-	dataStart := w.DataStart() * p.SampleRate()
+	dataStart := dataStartSeconds(p) * p.SampleRate()
 	got := make([]int, len(shifts))
 	for k := range shifts {
-		got[k] = d.HardDemod(sig, dataStart+float64(k*p.SymbolSamples()), 0, k)
+		got[k] = hardDemod(d, sig, dataStart+float64(k*p.SymbolSamples()), 0, k)
 	}
 	res := DecodeDefault(p, got)
 	if !res.OK {
@@ -102,14 +142,12 @@ func TestDemodWithFractionalOffsetAndCFO(t *testing.T) {
 
 	d := NewDemodulator(p)
 	cfoCycles := cfoHz * p.SymbolDuration()
-	dataStart := w.DataStart()*p.SampleRate() + frac
-	preambleSyms := int(math.Round(w.DataStart() / p.SymbolDuration() * 4)) // quarter counts; unused
-	_ = preambleSyms
-	symOffset := int(math.Round(w.DataStart() / p.SymbolDuration()))
+	dataStart := dataStartSeconds(p)*p.SampleRate() + frac
+	symOffset := int(math.Round(dataStartSeconds(p) / p.SymbolDuration()))
 	errors := 0
 	got := make([]int, len(shifts))
 	for k := range shifts {
-		got[k] = d.HardDemod(sig, dataStart+float64(k*p.SymbolSamples()), cfoCycles, symOffset+k)
+		got[k] = hardDemod(d, sig, dataStart+float64(k*p.SymbolSamples()), cfoCycles, symOffset+k)
 		if got[k] != shifts[k] {
 			errors++
 		}
@@ -128,9 +166,9 @@ func TestPeakHeightDropsWithTimingError(t *testing.T) {
 	p := MustParams(8, 4, 125e3, 8)
 	d := NewDemodulator(p)
 	buf := make([]complex128, 2*p.SymbolSamples())
-	ModulateSymbol(buf[:p.SymbolSamples()], 40, p.N(), p.Bandwidth, p.OSF)
-	aligned := peakHeight(d.SignalVector(buf, 0, 0, 0))
-	quarterOff := peakHeight(d.SignalVector(buf, float64(p.SymbolSamples())/4, 0, 0))
+	modulateSymbol(buf[:p.SymbolSamples()], 40, p)
+	aligned := peakHeight(signalVector(d, buf, 0, 0, 0, false))
+	quarterOff := peakHeight(signalVector(d, buf, float64(p.SymbolSamples())/4, 0, 0, false))
 	if quarterOff > 0.7*aligned {
 		t.Errorf("quarter-symbol offset peak %g vs aligned %g: not sensitive enough", quarterOff, aligned)
 	}
@@ -141,20 +179,20 @@ func TestPeakHeightDropsWithResidualCFO(t *testing.T) {
 	p := MustParams(8, 4, 125e3, 8)
 	d := NewDemodulator(p)
 	buf := make([]complex128, p.SymbolSamples())
-	ModulateSymbol(buf, 40, p.N(), p.Bandwidth, p.OSF)
-	clean := peakHeight(d.SignalVector(buf, 0, 0, 0))
+	modulateSymbol(buf, 40, p)
+	clean := peakHeight(signalVector(d, buf, 0, 0, 0, false))
 	// Apply a half-bin CFO to the signal, demodulate without correction.
 	cfoHz := 0.5 / p.SymbolDuration()
 	shifted := make([]complex128, len(buf))
 	for i := range buf {
 		shifted[i] = buf[i] * cisTest(2*math.Pi*cfoHz*float64(i)/p.SampleRate())
 	}
-	residual := peakHeight(d.SignalVector(shifted, 0, 0, 0))
+	residual := peakHeight(signalVector(d, shifted, 0, 0, 0, false))
 	if residual > 0.55*clean {
 		t.Errorf("0.5-cycle residual CFO peak %g vs clean %g", residual, clean)
 	}
 	// Correcting with the right CFO restores the peak.
-	corrected := peakHeight(d.SignalVector(shifted, 0, 0.5, 0))
+	corrected := peakHeight(signalVector(d, shifted, 0, 0.5, 0, false))
 	if corrected < 0.95*clean {
 		t.Errorf("corrected peak %g vs clean %g", corrected, clean)
 	}
@@ -177,9 +215,6 @@ func TestWaveformDuration(t *testing.T) {
 	want := (8 + 2 + 2.25 + 10) * p.SymbolDuration()
 	if math.Abs(w.Duration()-want) > 1e-12 {
 		t.Errorf("Duration = %g, want %g", w.Duration(), want)
-	}
-	if w.NumDataSymbols() != 10 {
-		t.Errorf("NumDataSymbols = %d", w.NumDataSymbols())
 	}
 	if w.At(-1) != 0 || w.At(w.Duration()+1) != 0 {
 		t.Error("waveform should be 0 outside its duration")
@@ -208,7 +243,7 @@ func TestDownchirpSectionDechirpsWithUpchirp(t *testing.T) {
 	sig := w.Render(0, 0, 0)
 	d := NewDemodulator(p)
 	dcStart := float64((PreambleUpchirps + SyncSymbols) * p.SymbolSamples())
-	y := d.DownSignalVector(sig, dcStart, 0, 0)
+	y := signalVector(d, sig, dcStart, 0, 0, true)
 	bi, best := 0, 0.0
 	for i, v := range y {
 		if v > best {
@@ -235,16 +270,16 @@ func TestPreambleUpchirpPeaks(t *testing.T) {
 	sig := w.Render(0, 0, 0)
 	d := NewDemodulator(p)
 	for k := 0; k < PreambleUpchirps; k++ {
-		h := d.HardDemod(sig, float64(k*p.SymbolSamples()), 0, k)
+		h := hardDemod(d, sig, float64(k*p.SymbolSamples()), 0, k)
 		if h != 0 {
 			t.Errorf("preamble symbol %d demodulates to %d", k, h)
 		}
 	}
 	// Sync symbols at shifts 8 and 16.
-	if h := d.HardDemod(sig, float64(PreambleUpchirps*p.SymbolSamples()), 0, 0); h != SyncShift1 {
+	if h := hardDemod(d, sig, float64(PreambleUpchirps*p.SymbolSamples()), 0, 0); h != SyncShift1 {
 		t.Errorf("sync 1 = %d, want %d", h, SyncShift1)
 	}
-	if h := d.HardDemod(sig, float64((PreambleUpchirps+1)*p.SymbolSamples()), 0, 0); h != SyncShift2 {
+	if h := hardDemod(d, sig, float64((PreambleUpchirps+1)*p.SymbolSamples()), 0, 0); h != SyncShift2 {
 		t.Errorf("sync 2 = %d, want %d", h, SyncShift2)
 	}
 }
@@ -264,7 +299,7 @@ func BenchmarkSignalVectorSF8(b *testing.B) {
 	p := MustParams(8, 4, 125e3, 8)
 	d := NewDemodulator(p)
 	sig := make([]complex128, 2*p.SymbolSamples())
-	ModulateSymbol(sig[:p.SymbolSamples()], 100, p.N(), p.Bandwidth, p.OSF)
+	modulateSymbol(sig[:p.SymbolSamples()], 100, p)
 	y := make([]float64, p.N())
 	buf := make([]complex128, p.N())
 	b.ReportAllocs()
@@ -377,6 +412,8 @@ func BenchmarkDechirp(b *testing.B) {
 	})
 }
 
+// TestIntoVariantsMatchAllocatingForms checks that the Into forms, called
+// repeatedly on the same dirty scratch, match a call on fresh buffers.
 func TestIntoVariantsMatchAllocatingForms(t *testing.T) {
 	p := MustParams(8, 4, 125e3, 8)
 	d := NewDemodulator(p)
@@ -391,12 +428,58 @@ func TestIntoVariantsMatchAllocatingForms(t *testing.T) {
 	for _, cfo := range []float64{0, -2.25} {
 		start, symIdx := 17.5, 3
 
-		want := d.DownSignalVector(rx, start, cfo, symIdx)
+		want := signalVector(d, rx, start, cfo, symIdx, true)
 		d.DownSignalVectorInto(y, cbuf, rx, start, cfo, symIdx)
 		for i := range y {
 			if y[i] != want[i] {
 				t.Fatalf("cfo=%g: DownSignalVectorInto[%d] = %v, want %v", cfo, i, y[i], want[i])
 			}
 		}
+	}
+}
+
+// TestSumSignalVectorIntoMatchesPerAntennaSum pins the antenna-summing
+// helper bit-equal to zeroing and adding each antenna's vector in order.
+func TestSumSignalVectorIntoMatchesPerAntennaSum(t *testing.T) {
+	p := MustParams(8, 4, 125e3, 8)
+	d := NewDemodulator(p)
+	rng := rand.New(rand.NewSource(6))
+	ants := make([][]complex128, 3)
+	for a := range ants {
+		ants[a] = make([]complex128, 3*p.SymbolSamples())
+		for i := range ants[a] {
+			ants[a][i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+	}
+	n := p.N()
+	acc := make([]float64, n)
+	y := make([]float64, n)
+	buf := make([]complex128, n)
+	for _, down := range []bool{false, true} {
+		for _, cfo := range []float64{0, 1.3} {
+			for na := 1; na <= len(ants); na++ {
+				want := make([]float64, n)
+				for _, ant := range ants[:na] {
+					v := signalVector(d, ant, 21.25, cfo, 4, down)
+					for i := range want {
+						want[i] += v[i]
+					}
+				}
+				for i := range acc {
+					acc[i] = -1 // stale contents must not leak in
+				}
+				d.SumSignalVectorInto(acc, y, buf, ants[:na], 21.25, cfo, 4, down)
+				for i := range acc {
+					if acc[i] != want[i] {
+						t.Fatalf("down=%v cfo=%g antennas=%d: bin %d = %v, want %v", down, cfo, na, i, acc[i], want[i])
+					}
+				}
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		d.SumSignalVectorInto(acc, y, buf, ants, 21.25, 1.3, 4, false)
+	}); allocs != 0 {
+		t.Errorf("SumSignalVectorInto allocates %v per call", allocs)
 	}
 }

@@ -20,17 +20,6 @@ func whitenNext(state uint8) uint8 {
 	return s
 }
 
-// WhitenSequence returns the first n bytes of the whitening sequence.
-func WhitenSequence(n int) []uint8 {
-	out := make([]uint8, n)
-	s := uint8(whitenSeed)
-	for i := 0; i < n; i++ {
-		out[i] = s
-		s = whitenNext(s)
-	}
-	return out
-}
-
 // Whiten XORs data in place with the whitening sequence. Applying it twice
 // restores the original data.
 func Whiten(data []uint8) {

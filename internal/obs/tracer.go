@@ -47,7 +47,6 @@ type tracerState struct {
 	packets  uint64
 	decoded  uint64
 	failures map[FailureReason]uint64
-	conns    map[string]uint64
 }
 
 // New builds a Tracer. All options may be zero: the Tracer then only
@@ -57,7 +56,6 @@ func New(o Options) *Tracer {
 		out:      o.Sink,
 		spill:    o.Spill,
 		failures: make(map[FailureReason]uint64),
-		conns:    make(map[string]uint64),
 	}
 	if o.RingSize > 0 {
 		s.ring = make([]*PacketTrace, o.RingSize)
@@ -180,7 +178,7 @@ func (t *Tracer) OnStream(event string, absStart float64) {
 	t.s.emit(&ev, metaFor(TypeStream, event, ev.Origin))
 }
 
-// OnConn exports and counts one gateway connection-level event. The event
+// OnConn exports one gateway connection-level event. The event
 // should be one of the ConnEvents taxonomy; unknown events are still
 // exported (they fail ValidateJSONL, which is the point — the taxonomy and
 // the emitters are kept in sync by the schema check).
@@ -191,7 +189,6 @@ func (t *Tracer) OnConn(event, remote, detail string) {
 	ev := ConnEvent{Type: TypeConn, Event: event, Remote: remote, Detail: detail, Origin: t.origin}
 	t.s.mu.Lock()
 	defer t.s.mu.Unlock()
-	t.s.conns[event]++
 	t.s.emit(&ev, metaFor(TypeConn, event, ev.Origin))
 }
 
@@ -208,20 +205,6 @@ func (t *Tracer) OnNet(ev NetEvent) {
 	t.s.mu.Lock()
 	defer t.s.mu.Unlock()
 	t.s.emit(&ev, metaFor(TypeNet, ev.Reason, ev.Origin))
-}
-
-// ConnCounts returns the per-event connection-failure tallies.
-func (t *Tracer) ConnCounts() map[string]uint64 {
-	if t == nil {
-		return nil
-	}
-	t.s.mu.Lock()
-	defer t.s.mu.Unlock()
-	m := make(map[string]uint64, len(t.s.conns))
-	for k, v := range t.s.conns {
-		m[k] = v
-	}
-	return m
 }
 
 // SetAbsStart backfills the stream-absolute start on a finished trace.

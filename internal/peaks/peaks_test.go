@@ -385,7 +385,8 @@ func cisTestPeaks(th float64) complex128 {
 const mathPi = math.Pi
 
 func fftMag(x []complex128) []float64 {
-	fx := dsp.FFT(x)
+	fx := append([]complex128(nil), x...)
+	dsp.MustPlan(len(fx)).Forward(fx)
 	y := make([]float64, len(fx))
 	dsp.MagSq(y, fx)
 	return y

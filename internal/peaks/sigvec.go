@@ -145,16 +145,7 @@ func (c *Calculator) symStart(idx int) float64 {
 // computeInto fills y (an arena slot) with symbol idx's signal vector,
 // using the caller's scratch so concurrent prefill workers don't collide.
 func (c *Calculator) computeInto(y []float64, buf []complex128, scratch []float64, idx int) {
-	for i := range y {
-		y[i] = 0
-	}
-	start := c.symStart(idx)
-	for _, ant := range c.antennas {
-		c.demod.SignalVectorInto(scratch, buf, ant, start, c.cfoCycles, idx)
-		for i := range y {
-			y[i] += scratch[i]
-		}
-	}
+	c.demod.SumSignalVectorInto(y, scratch, buf, c.antennas, c.symStart(idx), c.cfoCycles, idx, false)
 }
 
 // slot returns the arena-backed storage of symbol idx.

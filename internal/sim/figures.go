@@ -22,16 +22,6 @@ type FigureScale struct {
 	Nodes       int       // 0 keeps the deployment's node count
 }
 
-// DefaultScale is a laptop-scale configuration that finishes in minutes.
-func DefaultScale() FigureScale {
-	return FigureScale{DurationSec: 4, Runs: 1, Loads: []float64{5, 10, 15, 20, 25}}
-}
-
-// BenchScale is small enough for go test -bench.
-func BenchScale() FigureScale {
-	return FigureScale{DurationSec: 1.5, Runs: 1, Loads: []float64{10, 20}, Nodes: 8}
-}
-
 func (s FigureScale) deployment(d Deployment) Deployment {
 	if s.Nodes > 0 {
 		d.Nodes = s.Nodes

@@ -144,14 +144,7 @@ func TestPrintHelpers(t *testing.T) {
 }
 
 func TestScaleHelpers(t *testing.T) {
-	d := DefaultScale()
-	if len(d.Loads) != 5 || d.Loads[4] != 25 {
-		t.Error("default loads must match the paper")
-	}
-	b := BenchScale()
-	if b.DurationSec >= d.DurationSec {
-		t.Error("bench scale should be smaller")
-	}
+	b := FigureScale{DurationSec: 1.5, Runs: 1, Loads: []float64{10, 20}, Nodes: 8}
 	dep := b.deployment(Indoor)
 	if dep.Nodes != b.Nodes {
 		t.Error("node override failed")

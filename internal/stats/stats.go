@@ -8,18 +8,6 @@ import (
 	"sort"
 )
 
-// Mean returns the arithmetic mean of x, or 0 for an empty slice.
-func Mean(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s / float64(len(x))
-}
-
 // Median returns the median of x, or 0 for an empty slice. x is not
 // modified.
 func Median(x []float64) float64 {
@@ -341,19 +329,6 @@ func Percentile(x []float64, p float64) float64 {
 	return s[i]*(1-frac) + s[i+1]*frac
 }
 
-// MedianAbsDeviation returns the median of |x[i] - center|. It is the
-// robust deviation estimate used by Thrive's history cost.
-func MedianAbsDeviation(x []float64, center float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	d := make([]float64, len(x))
-	for i, v := range x {
-		d[i] = math.Abs(v - center)
-	}
-	return Median(d)
-}
-
 // MedianAbsResiduals returns the median of |x[i] - fit[i]|, the per-sample
 // residual deviation against a fitted curve.
 func MedianAbsResiduals(x, fit []float64) float64 {
@@ -368,30 +343,12 @@ func MedianAbsResiduals(x, fit []float64) float64 {
 	return Median(d)
 }
 
-// StdDev returns the population standard deviation of x.
-func StdDev(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	m := Mean(x)
-	var s float64
-	for _, v := range x {
-		s += (v - m) * (v - m)
-	}
-	return math.Sqrt(s / float64(len(x)))
-}
-
-// MovingAverage returns the centered moving average of x with the given
-// window (forced odd, at least 1). Near the edges the window shrinks
-// symmetrically, matching MATLAB's smoothdata(..,'movmean') behaviour.
-func MovingAverage(x []float64, window int) []float64 {
-	return MovingAverageInto(make([]float64, len(x)), x, window)
-}
-
-// MovingAverageInto is MovingAverage writing into dst, which is resized
-// (reallocated only when its capacity is short of len(x)) and returned, so a
-// caller reusing the returned slice pays no steady-state allocations. dst
-// must not alias x.
+// MovingAverageInto writes into dst the centered moving average of x with
+// the given window (forced odd, at least 1). Near the edges the window
+// shrinks symmetrically, matching MATLAB's smoothdata(..,'movmean')
+// behaviour. dst is resized (reallocated only when its capacity is short of
+// len(x)) and returned, so a caller reusing the returned slice pays no
+// steady-state allocations. dst must not alias x.
 func MovingAverageInto(dst, x []float64, window int) []float64 {
 	if window < 1 {
 		window = 1
@@ -439,28 +396,6 @@ func (c *CDF) At(v float64) float64 {
 		i++
 	}
 	return float64(i) / float64(len(c.sorted))
-}
-
-// Quantile returns the smallest sample v with P(X <= v) >= q, clamping q to
-// (0, 1].
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return c.sorted[0]
-	}
-	if q > 1 {
-		q = 1
-	}
-	i := int(math.Ceil(q*float64(len(c.sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(c.sorted) {
-		i = len(c.sorted) - 1
-	}
-	return c.sorted[i]
 }
 
 // Points returns up to n evenly spaced (value, probability) points of the

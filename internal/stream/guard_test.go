@@ -79,9 +79,3 @@ func TestStreamMetricsRecorded(t *testing.T) {
 		t.Errorf("buffer gauge = %d after Flush, want 0", met.BufferSamples.Value())
 	}
 }
-
-func TestDefaultMetricsShared(t *testing.T) {
-	if DefaultMetrics() != DefaultMetrics() {
-		t.Error("DefaultMetrics not a singleton")
-	}
-}

@@ -1,10 +1,6 @@
 package stream
 
-import (
-	"sync"
-
-	"tnb/internal/metrics"
-)
+import "tnb/internal/metrics"
 
 // Metrics instruments the streamer. All methods are nil-safe so an
 // un-instrumented Streamer pays only nil checks.
@@ -29,17 +25,6 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 		Overflows:       reg.Counter("tnb_stream_overflow_total"),
 		NonFinite:       reg.Counter("tnb_stream_nonfinite_samples_total"),
 	}
-}
-
-var (
-	defaultMetricsOnce sync.Once
-	defaultMetrics     *Metrics
-)
-
-// DefaultMetrics returns the shared streamer instruments on metrics.Default.
-func DefaultMetrics() *Metrics {
-	defaultMetricsOnce.Do(func() { defaultMetrics = NewMetrics(metrics.Default) })
-	return defaultMetrics
 }
 
 func (m *Metrics) onWindowPass() {

@@ -39,16 +39,19 @@ type Config struct {
 	Policy Policy
 	// Omega is the history-cost weight ω (paper §5.3.3; 0.1).
 	Omega float64
-	// SmoothWindow is the moving-average window of the history curve fit.
-	SmoothWindow int
-	// HistorySpread is the multiple of the deviation D used for the upper
-	// and lower estimates (paper: U = A + 4D, L = A - 4D).
-	HistorySpread float64
 }
+
+const (
+	// smoothWindow is the moving-average window of the history curve fit.
+	smoothWindow = 7
+	// historySpread is the multiple of the deviation D used for the upper
+	// and lower estimates (paper §5.3.3: U = A + 4D, L = A - 4D).
+	historySpread = 4
+)
 
 // DefaultConfig returns the paper's parameter choices.
 func DefaultConfig() Config {
-	return Config{Policy: PolicyThrive, Omega: 0.1, SmoothWindow: 7, HistorySpread: 4}
+	return Config{Policy: PolicyThrive, Omega: 0.1}
 }
 
 // PacketState tracks one detected packet through peak assignment.
@@ -137,12 +140,6 @@ func NewEngine(p lora.Params, cfg Config) *Engine {
 	def := DefaultConfig()
 	if cfg.Omega == 0 {
 		cfg.Omega = def.Omega
-	}
-	if cfg.SmoothWindow == 0 {
-		cfg.SmoothWindow = def.SmoothWindow
-	}
-	if cfg.HistorySpread == 0 {
-		cfg.HistorySpread = def.HistorySpread
 	}
 	return &Engine{cfg: cfg, p: p}
 }
@@ -437,7 +434,7 @@ func (e *Engine) fitHistory(ps *PacketState, idx int) (historyFit, bool) {
 		h = append(h, ps.historySeed...)
 		h = append(h, ps.PriorHeights...)
 		e.hist = h
-		e.fit = stats.MovingAverageInto(e.fit, h, e.cfg.SmoothWindow)
+		e.fit = stats.MovingAverageInto(e.fit, h, smoothWindow)
 		fit := e.fit
 		at := len(ps.historySeed) + idx
 		if at >= len(fit) {
@@ -455,15 +452,15 @@ func (e *Engine) fitHistory(ps *PacketState, idx int) (historyFit, bool) {
 	if len(h) == 0 {
 		return historyFit{}, false
 	}
-	e.fit = stats.MovingAverageInto(e.fit, h, e.cfg.SmoothWindow)
+	e.fit = stats.MovingAverageInto(e.fit, h, smoothWindow)
 	fit := e.fit
 	return historyFit{a: fit[len(fit)-1], d: e.sel.MedianAbsResiduals(h, fit)}, true
 }
 
 // historyCost computes Eq. 2.
 func (e *Engine) historyCost(f *historyFit, eta float64) float64 {
-	u := f.a + e.cfg.HistorySpread*f.d
-	l := math.Max(0, f.a-e.cfg.HistorySpread*f.d)
+	u := f.a + historySpread*f.d
+	l := math.Max(0, f.a-historySpread*f.d)
 	switch {
 	case eta > u:
 		if eta <= 0 {

@@ -62,9 +62,6 @@ func NewBuilder(p lora.Params, durationSec float64, antennas int, rng *rand.Rand
 	}
 }
 
-// DurationSamples returns the trace length in samples.
-func (b *Builder) DurationSamples() int { return b.duration }
-
 // AddPacket schedules a packet from node with the given payload at the
 // (fractional) start sample, per-sample SNR (dB) and CFO (Hz). channels, if
 // non-nil, provides one channel model per antenna; otherwise a flat channel

@@ -10,9 +10,19 @@ import (
 	"tnb/internal/channel"
 	"tnb/internal/dsp"
 	"tnb/internal/lora"
+	"tnb/internal/peaks"
 )
 
 func testParams() lora.Params { return lora.MustParams(8, 4, 125e3, 8) }
+
+// power returns the mean of |x[i]|².
+func power(x []complex128) float64 {
+	var e float64
+	for _, v := range x {
+		e += real(v)*real(v) + imag(v)*imag(v)
+	}
+	return e / float64(len(x))
+}
 
 func TestIQ16RoundTrip(t *testing.T) {
 	tr := NewTrace(1e6, 1, 100)
@@ -65,7 +75,7 @@ func TestBuilderSinglePacketPower(t *testing.T) {
 	}
 	rec := recs[0]
 	seg := tr.Antennas[0][int(rec.StartSample)+10 : int(rec.StartSample)+rec.NumSamples-10]
-	power := dsp.Power(seg)
+	power := power(seg)
 	want := dsp.DBToLinear(10)
 	if math.Abs(power-want)/want > 0.05 {
 		t.Errorf("signal power %g, want %g", power, want)
@@ -77,7 +87,7 @@ func TestBuilderNoiseFloor(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	b := NewBuilder(p, 0.2, 1, rng)
 	tr, _ := b.Build() // no packets: pure noise
-	power := dsp.Power(tr.Antennas[0])
+	power := power(tr.Antennas[0])
 	if math.Abs(power-1) > 0.05 {
 		t.Errorf("noise power %g, want 1", power)
 	}
@@ -86,7 +96,7 @@ func TestBuilderNoiseFloor(t *testing.T) {
 func TestBuilderRejectsOutOfRangePacket(t *testing.T) {
 	p := testParams()
 	b := NewBuilder(p, 0.05, 1, rand.New(rand.NewSource(33)))
-	err := b.AddPacket(1, 0, make([]uint8, 16), float64(b.DurationSamples())-100, 10, 0, nil)
+	err := b.AddPacket(1, 0, make([]uint8, 16), float64(b.duration)-100, 10, 0, nil)
 	if err == nil {
 		t.Error("expected error for packet past trace end")
 	}
@@ -119,7 +129,7 @@ func TestBuilderMultiAntenna(t *testing.T) {
 	rec := recs[0]
 	for a := 0; a < 2; a++ {
 		seg := tr.Antennas[a][int(rec.StartSample)+10 : int(rec.StartSample)+rec.NumSamples-10]
-		if dsp.Power(seg) < 1 {
+		if power(seg) < 1 {
 			t.Errorf("antenna %d carries too little signal", a)
 		}
 	}
@@ -147,12 +157,15 @@ func TestBuiltPacketDecodesWithKnownParameters(t *testing.T) {
 	rec := recs[0]
 
 	d := lora.NewDemodulator(p)
-	w := lora.NewWaveform(p, rec.Shifts)
-	dataStart := rec.StartSample + w.DataStart()*p.SampleRate()
+	dataStart := rec.StartSample + (lora.PreambleUpchirps+lora.SyncSymbols+
+		float64(lora.DownchirpQuarters)/4)*float64(p.SymbolSamples())
 	cfoCycles := cfoHz * p.SymbolDuration()
 	shifts := make([]int, len(rec.Shifts))
+	y := make([]float64, p.N())
+	buf := make([]complex128, p.N())
 	for k := range shifts {
-		shifts[k] = d.HardDemod(tr.Antennas[0], dataStart+float64(k*p.SymbolSamples()), cfoCycles, k)
+		d.SignalVectorInto(y, buf, tr.Antennas[0], dataStart+float64(k*p.SymbolSamples()), cfoCycles, k)
+		shifts[k] = peaks.HighestBin(y)
 	}
 	res := lora.DecodeDefault(p, shifts)
 	if !res.OK {
@@ -184,7 +197,7 @@ func TestScheduleUniformFitsPackets(t *testing.T) {
 	}
 	pkt := p.PacketSamples(16)
 	for _, s := range starts {
-		if s < 0 || int(s)+pkt > b.DurationSamples() {
+		if s < 0 || int(s)+pkt > b.duration {
 			t.Errorf("start %g does not fit", s)
 		}
 	}

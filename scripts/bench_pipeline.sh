@@ -159,24 +159,6 @@ END {
     printf "  \"bench\": \"BenchmarkReceiver\",\n"
     printf "  \"benchtime\": \"%s\",\n", benchtime
     printf "  \"host_cpus\": %d,\n", ncpu
-    # Pre-parallel-pipeline reference (commit 11d64f1, bare variant, 1-CPU
-    # host): what the allocation overhaul and worker pool are measured
-    # against. allocs_per_op dropped 45% and bytes_per_op 92% on the same
-    # host; wall-clock scaling additionally needs host_cpus > 1.
-    printf "  \"pre_pr_baseline\": {\"commit\": \"11d64f1\", \"ns_per_op\": 181000000, \"allocs_per_op\": 44098, \"bytes_per_op\": 82000000},\n"
-    # Pre-kernel-fusion reference (commit 91d79bc, bare variant): what the
-    # fused dechirp / ForwardMag / rotator work is measured against. The
-    # acceptance bar for the kernel PR is >= 25% ns_per_op improvement.
-    printf "  \"pre_kernel_baseline\": {\"commit\": \"91d79bc\", \"ns_per_op\": 152130196, \"allocs_per_op\": 24103, \"bytes_per_op\": 6922685},\n"
-    # Pre-scan-batching reference (commit 7d35456, bare variant): what the
-    # incremental scan, batched FFTs and pooled decode loop are measured
-    # against (ScanPreambles/workers=1 was 7574909 ns).
-    printf "  \"pre_batch_baseline\": {\"commit\": \"7d35456\", \"ns_per_op\": 139213417, \"allocs_per_op\": 19293, \"bytes_per_op\": 6738976, \"scan_ns_per_op\": 7574909},\n"
-    # Pre-sharding reference (commit 26c5f40, fleet/workers=1): what the
-    # sharded, allocation-free netserver ingest engine is measured against.
-    # The acceptance bar for the sharding PR is >= 2x packets_per_sec at
-    # workers=1 and non-regressing workers=2/4.
-    printf "  \"pre_shard_baseline\": {\"commit\": \"26c5f40\", \"workers1_ns_per_op\": 27170, \"workers1_packets_per_sec\": 515276, \"workers2_packets_per_sec\": 453989, \"workers4_packets_per_sec\": 473676},\n"
     printf "  \"variants\": {\n"
     for (i = 0; i < n; i++) {
         name = order[i]
