@@ -472,8 +472,8 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// BenchmarkExtendedBaselines runs the mLoRa and Choir related-work schemes
-// on the shared bench trace, extending the Fig. 12 comparison.
+// BenchmarkExtendedBaselines runs the mLoRa related-work scheme on the
+// shared bench trace, extending the Fig. 12 comparison.
 func BenchmarkExtendedBaselines(b *testing.B) {
 	cfg := sim.Config{
 		Deployment: sim.UniformSNR("ext", 8, 0, 20),
@@ -484,7 +484,7 @@ func BenchmarkExtendedBaselines(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, s := range []sim.Scheme{sim.SchemeTnB, sim.SchemeMLoRa, sim.SchemeChoir, sim.SchemeLoRaPHY} {
+	for _, s := range []sim.Scheme{sim.SchemeTnB, sim.SchemeMLoRa, sim.SchemeLoRaPHY} {
 		b.Run(s.String(), func(b *testing.B) {
 			var prr float64
 			for i := 0; i < b.N; i++ {

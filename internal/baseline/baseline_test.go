@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"tnb/internal/detect"
 	"tnb/internal/lora"
 	"tnb/internal/trace"
 )
@@ -133,9 +134,10 @@ func TestCICSubWindowCuts(t *testing.T) {
 	}
 	rec := recs[0]
 	dataStart := pkts[0].Start + (lora.PreambleUpchirps+lora.SyncSymbols+2.25)*sym
+	sc := newCICScratch(p.N())
 	errs := 0
 	for k := 0; k < len(rec.Shifts); k++ {
-		bin := c.selectBin(tr.Antennas, pkts[0], pkts[1:], k, dataStart+float64(k)*sym)
+		bin := c.selectBin(sc, tr.Antennas, pkts[0], pkts[1:], k, dataStart+float64(k)*sym)
 		if bin != rec.Shifts[k] {
 			errs++
 		}
@@ -145,66 +147,70 @@ func TestCICSubWindowCuts(t *testing.T) {
 	}
 }
 
-func TestCircDist(t *testing.T) {
-	if circDist(0, 255, 256) != 1 || circDist(5, 5, 256) != 0 || circDist(0, 128, 256) != 128 {
-		t.Error("circDist broken")
-	}
-}
-
-func TestChoirSinglePacket(t *testing.T) {
-	p := lora.MustParams(8, 4, 125e3, 8)
-	tr, recs := makeTrace(t, 920, p, 1.0, []txSpec{
-		{start: 20000.4, snr: 10, cfo: 1500, payload: payloadOf(1)},
-	})
-	c := NewChoir(Config{Params: p})
-	if got := countDecoded(c.Decode(tr), recs); got != 1 {
-		t.Errorf("Choir decoded %d/1 clean packets", got)
-	}
-}
-
-func TestChoirDistinguishesByFractionalCFO(t *testing.T) {
-	// Two packets whose CFOs differ by a clearly fractional number of
-	// bins: Choir's fractional filter should separate them.
+// TestCICShortSubWindowsUseFullWindow cuts every symbol of a clean packet
+// into ten sub-windows, all shorter than MinSubWindowChips, plus a cut at
+// the packet's own start, which is skipped: with no sub-window left,
+// selectBin must fall back to the full-window spectrum and still find the
+// true bins.
+func TestCICShortSubWindowsUseFullWindow(t *testing.T) {
 	p := lora.MustParams(8, 4, 125e3, 8)
 	sym := float64(p.SymbolSamples())
-	// CFO difference of ~1221 Hz = 2.5 bins: fractional part 0.5.
-	tr, recs := makeTrace(t, 921, p, 1.2, []txSpec{
-		{start: 20000.0, snr: 10, cfo: 0, payload: payloadOf(1)},
-		{start: 20000.0 + 10.5*sym, snr: 10, cfo: 1221, payload: payloadOf(2)},
+	tr, recs := makeTrace(t, 305, p, 0.8, []txSpec{
+		{start: 20000, snr: 12, cfo: 0, payload: payloadOf(1)},
 	})
-	c := NewChoir(Config{Params: p})
-	got := countDecoded(c.Decode(tr), recs)
-	if got < 1 {
-		t.Errorf("Choir decoded %d/2", got)
-	}
-	t.Logf("Choir decoded %d/2 fractional-CFO-separated packets", got)
-}
-
-func TestChoirFractionalSelectionUnit(t *testing.T) {
-	// Direct unit check of selectBin: the true symbol peak (integer bin
-	// after CFO correction) must win over a stronger half-bin interloper.
-	p := lora.MustParams(8, 4, 125e3, 8)
-	rng := rand.New(rand.NewSource(922))
-	b := trace.NewBuilder(p, 0.5, 1, rng)
-	payload := payloadOf(3)
-	if err := b.AddPacket(0, 0, payload, 20000, 10, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	tr, recs := b.Build()
-	c := NewChoir(Config{Params: p})
+	c := NewCIC(Config{Params: p})
 	pkts := c.detector.Detect(tr.Antennas)
 	if len(pkts) != 1 {
-		t.Fatalf("%d packets", len(pkts))
+		t.Fatalf("detected %d packets", len(pkts))
 	}
-	sym := float64(p.SymbolSamples())
+	others := []detect.Packet{pkts[0]}
+	for j := 0; j < 10; j++ {
+		others = append(others, detect.Packet{Start: pkts[0].Start + (float64(j)+0.5)*sym/10})
+	}
 	dataStart := pkts[0].Start + (lora.PreambleUpchirps+lora.SyncSymbols+2.25)*sym
+	sc := newCICScratch(p.N())
 	errs := 0
-	for k := range recs[0].Shifts {
-		if c.selectBin(tr.Antennas, pkts[0], k, dataStart+float64(k)*sym) != recs[0].Shifts[k] {
+	for k, want := range recs[0].Shifts {
+		if c.selectBin(sc, tr.Antennas, pkts[0], others, k, dataStart+float64(k)*sym) != want {
 			errs++
 		}
 	}
 	if errs > 1 {
-		t.Errorf("Choir selectBin: %d symbol errors on a clean packet", errs)
+		t.Errorf("%d/%d symbol errors", errs, len(recs[0].Shifts))
+	}
+}
+
+// TestCICSelectBinAllocs pins CIC's per-symbol allocation count: with the
+// packet's scratch reused, a symbol allocates nothing, whether an
+// interferer cuts its window or not.
+func TestCICSelectBinAllocs(t *testing.T) {
+	p := lora.MustParams(8, 4, 125e3, 8)
+	sym := float64(p.SymbolSamples())
+	tr, _ := makeTrace(t, 304, p, 1.2, []txSpec{
+		{start: 20000, snr: 12, cfo: 0, payload: payloadOf(1)},
+		{start: 20000 + 9.5*sym, snr: 12, cfo: 0, payload: payloadOf(2)},
+	})
+	c := NewCIC(Config{Params: p})
+	pkts := c.detector.Detect(tr.Antennas)
+	if len(pkts) != 2 {
+		t.Fatalf("detected %d packets", len(pkts))
+	}
+	dataStart := pkts[0].Start + (lora.PreambleUpchirps+lora.SyncSymbols+2.25)*sym
+	sc := newCICScratch(p.N())
+	for name, others := range map[string][]detect.Packet{"one interferer": pkts[1:], "no interferer": nil} {
+		k := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			c.selectBin(sc, tr.Antennas, pkts[0], others, k, dataStart+float64(k)*sym)
+			k++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: selectBin allocates %v times per symbol, want 0", name, allocs)
+		}
+	}
+}
+
+func TestCircDist(t *testing.T) {
+	if circDist(0, 255, 256) != 1 || circDist(5, 5, 256) != 0 || circDist(0, 128, 256) != 128 {
+		t.Error("circDist broken")
 	}
 }

@@ -35,7 +35,6 @@ type CIC struct {
 
 // NewCIC builds a CIC receiver.
 func NewCIC(cfg Config) *CIC {
-	cfg.defaults()
 	d := detect.NewDetector(cfg.Params)
 	return &CIC{
 		cfg:               cfg,
@@ -61,8 +60,9 @@ func (c *CIC) Decode(tr *trace.Trace) []Decoded {
 			}
 		}
 		numData := maxSymbols(c.cfg, ants, pk)
+		sc := newCICScratch(c.cfg.Params.N())
 		shifts := demodAll(c.demod, ants, pk, numData, func(k int, start float64) int {
-			return c.selectBin(ants, pk, others, k, start)
+			return c.selectBin(sc, ants, pk, others, k, start)
 		})
 		if dec, ok := finish(c.cfg, c.rng, shifts, pk); ok {
 			out = append(out, dec)
@@ -71,16 +71,47 @@ func (c *CIC) Decode(tr *trace.Trace) []Decoded {
 	return out
 }
 
+// cicScratch holds one packet's per-symbol working buffers, so selectBin
+// reuses them across the packet's symbols instead of allocating each time.
+type cicScratch struct {
+	cuts []float64
+	buf  []complex128 // one antenna's sub-window or full-window spectrum
+	vec  []float64    // one antenna's full-window signal vector
+	full []float64    // full-window spectrum summed over antennas
+	med  []float64    // MedianScratch working space, 2n
+	// acc[i] is the i-th kept sub-window's spectrum summed over antennas,
+	// and sets[i] its peaks; both grow to the most sub-windows seen.
+	acc   [][]float64
+	sets  [][]peaks.Peak
+	cands []cicCand
+	// fullOnly is {full}, the spectra of a symbol no sub-window survives in.
+	fullOnly [][]float64
+}
+
+// cicCand is a peak of the first sub-window found in every other one, with
+// its heights summed over all of them.
+type cicCand struct {
+	bin   int
+	total float64
+}
+
+func newCICScratch(n int) *cicScratch {
+	sc := &cicScratch{buf: make([]complex128, n), vec: make([]float64, n),
+		full: make([]float64, n), med: make([]float64, 2*n)}
+	sc.fullOnly = [][]float64{sc.full}
+	return sc
+}
+
 // selectBin picks the bin of symbol k of the target packet by intersecting
 // sub-window spectra.
-func (c *CIC) selectBin(ants [][]complex128, pk detect.Packet, others []detect.Packet, k int, start float64) int {
+func (c *CIC) selectBin(sc *cicScratch, ants [][]complex128, pk detect.Packet, others []detect.Packet, k int, start float64) int {
 	p := c.cfg.Params
 	n := p.N()
 	sym := float64(p.SymbolSamples())
 
 	// Sub-window boundaries in chips within [0, N): each interferer whose
 	// packet is active here contributes the offset of its symbol boundary.
-	cuts := []float64{0, float64(n)}
+	cuts := append(sc.cuts[:0], 0, float64(n))
 	for _, o := range others {
 		if pk.Start == o.Start {
 			continue
@@ -96,39 +127,44 @@ func (c *CIC) selectBin(ants [][]complex128, pk detect.Packet, others []detect.P
 		}
 	}
 	sort.Float64s(cuts)
+	sc.cuts = cuts
 
 	// Spectrum of each sufficiently long sub-window, summed over antennas.
-	var subSpectra [][]float64
-	buf := make([]complex128, n)
+	m := 0
 	for i := 0; i+1 < len(cuts); i++ {
 		a, b := cuts[i], cuts[i+1]
 		if b-a < float64(c.MinSubWindowChips) {
 			continue
 		}
-		acc := make([]float64, n)
+		if m == len(sc.acc) {
+			sc.acc = append(sc.acc, make([]float64, n))
+		}
+		acc := sc.acc[m]
+		m++
+		clear(acc)
 		for _, ant := range ants {
-			c.subSpectrum(buf, ant, start, pk.CFOCycles, k, int(a), int(b))
-			for j, v := range buf {
+			c.subSpectrum(sc.buf, ant, start, pk.CFOCycles, k, int(a), int(b))
+			for j, v := range sc.buf {
 				acc[j] += real(v)*real(v) + imag(v)*imag(v)
 			}
 		}
-		subSpectra = append(subSpectra, acc)
 	}
-	if len(subSpectra) == 0 {
-		subSpectra = append(subSpectra, c.fullSpectrum(ants, start, pk.CFOCycles, k))
+	subSpectra := sc.acc[:m]
+	if m == 0 {
+		c.fullSpectrum(sc, ants, start, pk.CFOCycles, k)
+		subSpectra = sc.fullOnly
 	}
 
 	// Peak sets per sub-window; intersect.
 	maxPeaks := 2 * (len(others) + 2)
-	sets := make([][]peaks.Peak, len(subSpectra))
+	for len(sc.sets) < len(subSpectra) {
+		sc.sets = append(sc.sets, nil)
+	}
+	sets := sc.sets[:len(subSpectra)]
 	for i, sp := range subSpectra {
-		sets[i] = peaks.Find(sp, 6*stats.Median(sp), maxPeaks)
+		sets[i] = peaks.FindInto(sets[i], sp, 6*stats.MedianScratch(sp, sc.med), maxPeaks)
 	}
-	type cand struct {
-		bin   int
-		total float64
-	}
-	var cands []cand
+	cands := sc.cands[:0]
 	for _, pk0 := range sets[0] {
 		total := pk0.Height
 		inAll := true
@@ -147,13 +183,13 @@ func (c *CIC) selectBin(ants [][]complex128, pk detect.Packet, others []detect.P
 			}
 		}
 		if inAll {
-			cands = append(cands, cand{bin: pk0.Bin, total: total})
+			cands = append(cands, cicCand{bin: pk0.Bin, total: total})
 		}
 	}
+	sc.cands = cands
 	if len(cands) == 0 {
 		// Intersection empty: fall back to the strongest full-window bin.
-		full := c.fullSpectrum(ants, start, pk.CFOCycles, k)
-		return peaks.HighestBin(full)
+		return peaks.HighestBin(c.fullSpectrum(sc, ants, start, pk.CFOCycles, k))
 	}
 	best := cands[0]
 	for _, cd := range cands[1:] {
@@ -185,11 +221,11 @@ func (c *CIC) subSpectrum(buf []complex128, rx []complex128, start, cfo float64,
 	c.plan.Forward(buf)
 }
 
-func (c *CIC) fullSpectrum(ants [][]complex128, start, cfo float64, k int) []float64 {
-	p := c.cfg.Params
-	acc := make([]float64, p.N())
-	c.demod.SumSignalVectorInto(acc, make([]float64, p.N()), make([]complex128, p.N()), ants, start, cfo, k, false)
-	return acc
+// fullSpectrum sums symbol k's full-window signal vectors over antennas
+// into sc.full and returns it.
+func (c *CIC) fullSpectrum(sc *cicScratch, ants [][]complex128, start, cfo float64, k int) []float64 {
+	c.demod.SumSignalVectorInto(sc.full, sc.vec, sc.buf, ants, start, cfo, k, false)
+	return sc.full
 }
 
 func conj(v complex128) complex128 { return complex(real(v), -imag(v)) }

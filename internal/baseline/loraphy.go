@@ -29,17 +29,12 @@ type Config struct {
 	Params lora.Params
 	// UseBEC decodes with Block Error Correction (CIC+ / AlignTrack*+).
 	UseBEC bool
-	// MaxPayloadLen bounds the provisional packet length (0 → 48).
-	MaxPayloadLen int
 	// Seed drives BEC candidate sampling.
 	Seed int64
 }
 
-func (c *Config) defaults() {
-	if c.MaxPayloadLen == 0 {
-		c.MaxPayloadLen = 48
-	}
-}
+// maxPayloadLen bounds the provisional packet length in bytes.
+const maxPayloadLen = 48
 
 // LoRaPHY is the standard LoRa decoder: strongest bin per symbol, default
 // Hamming decoding, no collision resolution.
@@ -52,7 +47,6 @@ type LoRaPHY struct {
 
 // NewLoRaPHY builds the standard decoder.
 func NewLoRaPHY(cfg Config) *LoRaPHY {
-	cfg.defaults()
 	d := detect.NewDetector(cfg.Params)
 	return &LoRaPHY{cfg: cfg, detector: d, demod: d.Demodulator(),
 		rng: rand.New(rand.NewSource(cfg.Seed + 1))}
@@ -74,7 +68,7 @@ func (l *LoRaPHY) Decode(tr *trace.Trace) []Decoded {
 // maxSymbols bounds the provisional data-symbol count of a detected packet.
 func maxSymbols(cfg Config, ants [][]complex128, pk detect.Packet) int {
 	p := cfg.Params
-	lay, err := lora.NewLayout(p, cfg.MaxPayloadLen)
+	lay, err := lora.NewLayout(p, maxPayloadLen)
 	maxSyms := 0
 	if err == nil {
 		maxSyms = lay.DataSymbols

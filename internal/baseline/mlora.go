@@ -27,7 +27,6 @@ type MLoRa struct {
 
 // NewMLoRa builds an mLoRa receiver.
 func NewMLoRa(cfg Config) *MLoRa {
-	cfg.defaults()
 	d := detect.NewDetector(cfg.Params)
 	return &MLoRa{
 		cfg:       cfg,

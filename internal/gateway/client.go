@@ -29,23 +29,25 @@ type Client struct {
 // noticed within one chunk instead of after megabytes of doomed writes.
 const sendChunkBytes = 1 << 16
 
-// Backoff is a bounded exponential retry policy with jitter. The zero
-// value selects the defaults noted per field; Attempts ≤ 1 disables retry.
+// Backoff is a bounded exponential retry policy. Each delay is spread
+// uniformly over ±backoffJitter of itself, and the doubling stops at
+// backoffMax. The zero value selects the defaults noted per field;
+// Attempts ≤ 1 disables retry.
 type Backoff struct {
 	// Attempts is the total number of tries (0 → 4).
 	Attempts int
 	// Base is the delay before the second try (0 → 50ms); each further
 	// try doubles it.
 	Base time.Duration
-	// Max caps the per-try delay (0 → 2s).
-	Max time.Duration
-	// Jitter spreads each delay uniformly over ±Jitter×delay
-	// (0 → 0.25; negative disables jitter).
-	Jitter float64
 	// Seed drives the jitter stream, so retry schedules are reproducible
 	// (0 → 1).
 	Seed int64
 }
+
+const (
+	backoffMax    = 2 * time.Second
+	backoffJitter = 0.25
+)
 
 func (b Backoff) attempts() int {
 	if b.Attempts <= 0 {
@@ -56,15 +58,9 @@ func (b Backoff) attempts() int {
 
 // delays returns the deterministic sleep schedule between tries.
 func (b Backoff) delays() []time.Duration {
-	base, max, jitter, seed := b.Base, b.Max, b.Jitter, b.Seed
+	base, seed := b.Base, b.Seed
 	if base == 0 {
 		base = 50 * time.Millisecond
-	}
-	if max == 0 {
-		max = 2 * time.Second
-	}
-	if jitter == 0 {
-		jitter = 0.25
 	}
 	if seed == 0 {
 		seed = 1
@@ -73,18 +69,12 @@ func (b Backoff) delays() []time.Duration {
 	out := make([]time.Duration, 0, b.attempts()-1)
 	d := base
 	for i := 1; i < b.attempts(); i++ {
-		j := d
-		if jitter > 0 {
-			j = d + time.Duration((rng.Float64()*2-1)*jitter*float64(d))
-		}
+		j := d + time.Duration((rng.Float64()*2-1)*backoffJitter*float64(d))
 		if j < 0 {
 			j = 0
 		}
 		out = append(out, j)
-		d *= 2
-		if d > max {
-			d = max
-		}
+		d = min(2*d, backoffMax)
 	}
 	return out
 }

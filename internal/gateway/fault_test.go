@@ -453,6 +453,34 @@ func TestGatewayBadHelloTyped(t *testing.T) {
 
 // TestGatewayStreamRetries exercises the chunked-resend path: the first
 // exchange dies at the connection budget, the retry succeeds end to end.
+// TestBackoffSchedule pins the retry delays: the default policy for seeds 1
+// (also the zero seed), 7 and 42, and a longer one whose doubling reaches
+// the 2 s cap before jitter.
+func TestBackoffSchedule(t *testing.T) {
+	for _, c := range []struct {
+		b    Backoff
+		want []time.Duration
+	}{
+		{Backoff{}, []time.Duration{52616507, 122025454, 216456005}},
+		{Backoff{Seed: 1}, []time.Duration{52616507, 122025454, 216456005}},
+		{Backoff{Seed: 7}, []time.Duration{60472303, 86575359, 174138757}},
+		{Backoff{Seed: 42}, []time.Duration{46825710, 78300025, 210409385}},
+		{Backoff{Attempts: 8, Base: 300 * time.Millisecond, Seed: 7},
+			[]time.Duration{362833823, 519452153, 1044832541, 2411562174, 2198235543, 1646155949, 1854214699}},
+	} {
+		got := c.b.delays()
+		if len(got) != len(c.want) {
+			t.Fatalf("%+v: %d delays, want %d", c.b, len(got), len(c.want))
+		}
+		for i := range got {
+			if got[i] != c.want[i] {
+				t.Errorf("%+v: delays %v, want %v", c.b, got, c.want)
+				break
+			}
+		}
+	}
+}
+
 func TestGatewayStreamRetries(t *testing.T) {
 	addr, met, _, stop := startFaultServer(t, func(s *Server) {
 		s.MaxConns = 1

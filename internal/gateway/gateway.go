@@ -168,9 +168,6 @@ type Server struct {
 	// {"code":"overloaded"} and closed before any receiver state is
 	// built. 0 means unlimited.
 	MaxConns int
-	// MaxBufferSamples overrides the per-connection decode-buffer ceiling
-	// (stream.Config.MaxBufferSamples semantics).
-	MaxBufferSamples int
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -497,9 +494,8 @@ func (s *Server) handle(conn net.Conn, log *slog.Logger) error {
 	tracer = tracer.WithOrigin(obs.Origin{Gateway: s.ID, Channel: hello.Channel, SF: params.SF})
 
 	st, err := stream.New(stream.Config{
-		Receiver:         stagegraph.Config{Params: params, UseBEC: useBEC, Workers: s.Workers, Metrics: pmet, Tracer: tracer},
-		MaxBufferSamples: s.MaxBufferSamples,
-		Metrics:          smet,
+		Receiver: stagegraph.Config{Params: params, UseBEC: useBEC, Workers: s.Workers, Metrics: pmet, Tracer: tracer},
+		Metrics:  smet,
 	})
 	if err != nil {
 		return err

@@ -3,30 +3,25 @@
 // signal-vector calculator (the paper's "signal calculation component").
 package peaks
 
-import "math"
-
 // Peak is one local maximum of a signal vector.
 type Peak struct {
 	Bin    int
 	Height float64
 }
 
-// Find locates local maxima of y that stand out from their surroundings by
-// at least sel (the selectivity rule of the MATLAB peakfinder: a candidate
-// maximum counts only if it exceeds the lowest point between it and the
-// previous accepted extremum by sel). When sel <= 0 it defaults to
-// (max-min)/4. At most maxPeaks peaks are returned, highest first; pass
-// maxPeaks <= 0 for no limit.
+// FindInto locates local maxima of y that stand out from their
+// surroundings by at least sel (the selectivity rule of the MATLAB
+// peakfinder: a candidate maximum counts only if it exceeds the lowest point
+// between it and the previous accepted extremum by sel). When sel <= 0 it
+// defaults to (max-min)/4. At most maxPeaks peaks are returned, highest
+// first; pass maxPeaks <= 0 for no limit.
 //
 // The spectrum of a dechirped LoRa symbol is circular, so y is treated as a
 // circular buffer: a maximum spanning the wrap point is found once.
-func Find(y []float64, sel float64, maxPeaks int) []Peak {
-	return FindInto(nil, y, sel, maxPeaks)
-}
-
-// FindInto is Find appending into dst[:0], so a caller that reuses the
-// returned slice across calls pays no steady-state allocations. The result
-// aliases dst's backing array when its capacity suffices.
+//
+// The peaks are appended to dst[:0], so a caller that reuses the returned
+// slice across calls pays no steady-state allocations. The result aliases
+// dst's backing array when its capacity suffices.
 func FindInto(dst []Peak, y []float64, sel float64, maxPeaks int) []Peak {
 	found := dst[:0]
 	n := len(y)
@@ -146,30 +141,4 @@ func HighestBin(y []float64) int {
 		}
 	}
 	return bi
-}
-
-// InterpolateBin refines a peak location to sub-bin precision. For the
-// magnitude-squared spectrum of a rectangular-windowed tone (exactly the
-// dechirped LoRa symbol), the two-bin amplitude ratio estimator
-// δ = |X[k±1]| / (|X[k]| + |X[k±1]|) is exact in the noiseless case; the
-// larger neighbor selects the side. Used by Choir-style fractional peak
-// matching and diagnostics; returns the fractional bin position.
-func InterpolateBin(y []float64, bin int) float64 {
-	n := len(y)
-	if n < 3 {
-		return float64(bin)
-	}
-	l := math.Sqrt(y[(bin-1+n)%n])
-	c := math.Sqrt(y[bin])
-	r := math.Sqrt(y[(bin+1)%n])
-	if c <= 0 {
-		return float64(bin)
-	}
-	if r >= l {
-		if c+r == 0 {
-			return float64(bin)
-		}
-		return float64(bin) + r/(c+r)
-	}
-	return float64(bin) - l/(c+l)
 }

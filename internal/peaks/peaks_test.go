@@ -5,14 +5,13 @@ import (
 	"math/rand"
 	"testing"
 
-	"tnb/internal/dsp"
 	"tnb/internal/lora"
 )
 
 func TestFindSinglePeak(t *testing.T) {
 	y := make([]float64, 64)
 	y[20] = 10
-	ps := Find(y, 0, 0)
+	ps := FindInto(nil, y, 0, 0)
 	if len(ps) != 1 || ps[0].Bin != 20 || ps[0].Height != 10 {
 		t.Fatalf("peaks = %v", ps)
 	}
@@ -21,7 +20,7 @@ func TestFindSinglePeak(t *testing.T) {
 func TestFindMultiplePeaksSorted(t *testing.T) {
 	y := make([]float64, 128)
 	y[10], y[50], y[90] = 5, 9, 7
-	ps := Find(y, 1, 0)
+	ps := FindInto(nil, y, 1, 0)
 	if len(ps) != 3 {
 		t.Fatalf("found %d peaks", len(ps))
 	}
@@ -37,7 +36,7 @@ func TestFindSelectivityFiltersRipple(t *testing.T) {
 		y[i] = rng.Float64() * 0.5 // ripple below sel
 	}
 	y[100] = 10
-	ps := Find(y, 2, 0)
+	ps := FindInto(nil, y, 2, 0)
 	if len(ps) != 1 || ps[0].Bin != 100 {
 		t.Fatalf("ripple leaked through: %v", ps)
 	}
@@ -50,7 +49,7 @@ func TestFindWrapAroundPeak(t *testing.T) {
 	y[0] = 10
 	y[63] = 6
 	y[32] = 8
-	ps := Find(y, 1, 0)
+	ps := FindInto(nil, y, 1, 0)
 	if len(ps) != 2 {
 		t.Fatalf("peaks = %v", ps)
 	}
@@ -65,7 +64,7 @@ func TestFindMaxPeaksLimit(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		y[i*32+5] = float64(10 + i)
 	}
-	ps := Find(y, 1, 3)
+	ps := FindInto(nil, y, 1, 3)
 	if len(ps) != 3 {
 		t.Fatalf("limit not applied: %d peaks", len(ps))
 	}
@@ -76,10 +75,10 @@ func TestFindMaxPeaksLimit(t *testing.T) {
 
 func TestFindFlatSignal(t *testing.T) {
 	y := []float64{3, 3, 3, 3}
-	if ps := Find(y, 0, 0); len(ps) != 0 {
+	if ps := FindInto(nil, y, 0, 0); len(ps) != 0 {
 		t.Errorf("flat signal produced peaks: %v", ps)
 	}
-	if ps := Find(nil, 0, 0); ps != nil {
+	if ps := FindInto(nil, nil, 0, 0); ps != nil {
 		t.Error("nil input should give nil")
 	}
 }
@@ -89,14 +88,14 @@ func TestFindDefaultSelectivity(t *testing.T) {
 	y := make([]float64, 100)
 	y[50] = 100
 	y[20] = 15
-	ps := Find(y, 0, 0)
+	ps := FindInto(nil, y, 0, 0)
 	if len(ps) != 1 || ps[0].Bin != 50 {
 		t.Errorf("default selectivity: %v", ps)
 	}
 }
 
-// TestFindIntoMatchesFind pins FindInto as a drop-in for Find on random
-// noisy vectors, and checks the reused buffer never allocates once grown.
+// TestFindIntoMatchesFind pins FindInto into a reused buffer against
+// FindInto into a fresh one on random noisy vectors.
 func TestFindIntoMatchesFind(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var buf []Peak
@@ -113,14 +112,14 @@ func TestFindIntoMatchesFind(t *testing.T) {
 		}
 		sel := 6 * stableMedian(y)
 		maxPeaks := rng.Intn(6) // includes 0 = unlimited
-		want := Find(y, sel, maxPeaks)
+		want := FindInto(nil, y, sel, maxPeaks)
 		buf = FindInto(buf, y, sel, maxPeaks)
 		if len(want) != len(buf) {
-			t.Fatalf("trial %d: Find=%d peaks, FindInto=%d", trial, len(want), len(buf))
+			t.Fatalf("trial %d: fresh=%d peaks, reused=%d", trial, len(want), len(buf))
 		}
 		for i := range want {
 			if want[i] != buf[i] {
-				t.Fatalf("trial %d peak %d: Find=%+v FindInto=%+v", trial, i, want[i], buf[i])
+				t.Fatalf("trial %d peak %d: fresh=%+v reused=%+v", trial, i, want[i], buf[i])
 			}
 		}
 	}
@@ -159,7 +158,7 @@ func TestFindSortIsStable(t *testing.T) {
 	for _, bin := range []int{5, 20, 40, 57} {
 		y[bin] = 10
 	}
-	got := Find(y, 3, 0)
+	got := FindInto(nil, y, 3, 0)
 	if len(got) != 4 {
 		t.Fatalf("got %d peaks, want 4", len(got))
 	}
@@ -330,66 +329,6 @@ func TestSiblingOffsetRelation(t *testing.T) {
 		t.Fatalf("symbol %d: no sibling energy at predicted bin %.1f", k, pred)
 	found:
 	}
-}
-
-func TestInterpolateBinExactTone(t *testing.T) {
-	// A tone at a fractional frequency produces an FFT lobe whose
-	// interpolated peak recovers the fraction to within ~0.05 bins.
-	n := 256
-	for _, fracBin := range []float64{10.0, 10.25, 10.5, 200.75} {
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = cisTestPeaks(2 * mathPi * fracBin * float64(i) / float64(n))
-		}
-		y := make([]float64, n)
-		f := fftMag(x)
-		copy(y, f)
-		bi := HighestBin(y)
-		got := InterpolateBin(y, bi)
-		// Wrap-aware error.
-		err := got - fracBin
-		if err > float64(n)/2 {
-			err -= float64(n)
-		}
-		if err < 0 {
-			err = -err
-		}
-		if err > 0.02 {
-			t.Errorf("fracBin %.2f: interpolated %.3f (err %.3f)", fracBin, got, err)
-		}
-	}
-}
-
-func TestInterpolateBinDegenerate(t *testing.T) {
-	if got := InterpolateBin([]float64{1, 2}, 0); got != 0 {
-		t.Errorf("short input: %g", got)
-	}
-	if got := InterpolateBin([]float64{0, 0, 0, 0}, 1); got != 1 {
-		t.Errorf("flat zero input: %g", got)
-	}
-	// A symmetric lobe interpolates to the half-bin ambiguity boundary at
-	// most; for equal neighbors the estimator picks +side by convention.
-	y := []float64{0.1, 1, 4, 1, 0.1}
-	got := InterpolateBin(y, 2)
-	if got < 2 || got > 2.5 {
-		t.Errorf("symmetric lobe: %g", got)
-	}
-}
-
-// test helpers for the interpolation tests
-func cisTestPeaks(th float64) complex128 {
-	s, c := math.Sincos(th)
-	return complex(c, s)
-}
-
-const mathPi = math.Pi
-
-func fftMag(x []complex128) []float64 {
-	fx := append([]complex128(nil), x...)
-	dsp.MustPlan(len(fx)).Forward(fx)
-	y := make([]float64, len(fx))
-	dsp.MagSq(y, fx)
-	return y
 }
 
 // TestFindIntoAtMatchesFindInto pins the scan's fused path: given the first

@@ -17,7 +17,7 @@ import (
 // tracer, when set, is handed to every TnB-family receiver runScheme
 // builds, so offline figure runs export the same per-packet decode traces
 // as a live gateway (tnbsim -trace-out). Baseline schemes (CIC, LoRaPHY,
-// mLoRa, Choir) do not run the TnB pipeline and emit no traces.
+// mLoRa) do not run the TnB pipeline and emit no traces.
 var tracer *obs.Tracer
 
 // SetTracer installs the process-wide experiment tracer. Call before the
@@ -49,7 +49,6 @@ const (
 	SchemeLoRaPHY
 	SchemeTnB2Ant // TnB with two receive antennas (§8.5)
 	SchemeMLoRa   // successive interference cancellation (related work §2)
-	SchemeChoir   // fractional-CFO peak matching (related work §2)
 )
 
 // String names the scheme as in the paper's figures.
@@ -73,8 +72,6 @@ func (s Scheme) String() string {
 		return "LoRaPHY"
 	case SchemeMLoRa:
 		return "mLoRa"
-	case SchemeChoir:
-		return "Choir"
 	case SchemeTnB2Ant:
 		return "TnB2ant"
 	default:
@@ -98,9 +95,6 @@ type Config struct {
 	LoadPktPerSec float64
 	// DurationSec is the trace length (paper: 30 s; tests use less).
 	DurationSec float64
-	// PayloadLen in bytes before the 16-bit CRC (paper: 16 bytes on air
-	// including CRC → 14 here). 0 defaults to 14.
-	PayloadLen int
 	// ETU enables the LTE ETU fading channel with 5 Hz Doppler (§8.5).
 	ETU bool
 	// Seed makes the run reproducible; the trace depends only on the
@@ -112,12 +106,9 @@ func (c Config) params() lora.Params {
 	return lora.MustParams(c.SF, c.CR, 125e3, 8)
 }
 
-func (c Config) payloadLen() int {
-	if c.PayloadLen == 0 {
-		return 14
-	}
-	return c.PayloadLen
-}
+// payloadLen is the payload in bytes before the 16-bit CRC (paper: 16 bytes
+// on air including CRC → 14 here).
+const payloadLen = 14
 
 // GroundTruth is the generated scenario for one run.
 type GroundTruth struct {
@@ -141,14 +132,14 @@ func Generate(cfg Config, antennas int) (*GroundTruth, error) {
 	}
 
 	nPackets := int(cfg.LoadPktPerSec * cfg.DurationSec)
-	starts := b.ScheduleUniform(nPackets, cfg.payloadLen())
+	starts := b.ScheduleUniform(nPackets, payloadLen)
 	var fs float64 = p.SampleRate()
 	seqPerNode := map[int]int{}
 	for _, s := range starts {
 		node := rng.Intn(cfg.Deployment.Nodes)
 		seq := seqPerNode[node]
 		seqPerNode[node]++
-		payload := MakePayload(node, seq, cfg.payloadLen())
+		payload := MakePayload(node, seq, payloadLen)
 
 		var chans []channel.Model
 		if cfg.ETU {
@@ -232,11 +223,6 @@ func runScheme(s Scheme, gt *GroundTruth, cfg Config) []decodedPacket {
 	case SchemeMLoRa:
 		ml := baseline.NewMLoRa(baseline.Config{Params: p, Seed: cfg.Seed})
 		for _, d := range ml.Decode(gt.Trace) {
-			out = append(out, decodedPacket{payload: d.Payload, start: d.Start})
-		}
-	case SchemeChoir:
-		ch := baseline.NewChoir(baseline.Config{Params: p, Seed: cfg.Seed})
-		for _, d := range ch.Decode(gt.Trace) {
 			out = append(out, decodedPacket{payload: d.Payload, start: d.Start})
 		}
 	}

@@ -62,7 +62,7 @@ func TestDebugPipeline(t *testing.T) {
 				errs++
 				if errs < 8 {
 					y := st.Calc.SigVec(j)
-					ps := peaks.Find(y, 0, 6)
+					ps := peaks.FindInto(nil, y, 0, 6)
 					t.Logf(" pkt %d sym %d: got %d want %d trueY=%.3e peaks=%v",
 						i, j, st.Assigned[j], rec.Shifts[j], y[rec.Shifts[j]], ps)
 				}

@@ -39,11 +39,9 @@ type Config struct {
 	// ListDecode retries a failed packet with Thrive's runner-up peak
 	// substituted one symbol at a time — a list-decoding extension in the
 	// spirit of the papers §2 cites ([16, 17]), applied per collided
-	// packet. Off by default to match the paper's configuration.
+	// packet. Off by default to match the paper's configuration. At most
+	// listDecodeBudget substitutions are tried per packet.
 	ListDecode bool
-	// ListDecodeBudget caps the substitution attempts per packet
-	// (0 → 24).
-	ListDecodeBudget int
 	// Seed drives BEC's random candidate sampling. Each packet gets its own
 	// deterministic stream derived from (Seed, pass, packet index), so the
 	// sampling is independent of decode order and worker count.
@@ -530,16 +528,15 @@ func attributeFailure(pt *obs.PacketTrace, headerOK, blockFailed, exhausted bool
 	return obs.FailCRC
 }
 
+// listDecodeBudget caps list decoding's substitution attempts per packet.
+const listDecodeBudget = 24
+
 // listDecode retries the packet with the runner-up peak substituted one
 // symbol at a time, most-ambiguous symbols first (smallest height gap
 // between the chosen peak and its alternate).
 func (p *Pipeline) listDecode(st *thrive.PacketState, shifts []int,
 	decodeOnce func([]int) (lora.Header, []uint8, int, bool)) (lora.Header, []uint8, int, bool) {
 
-	budget := p.cfg.ListDecodeBudget
-	if budget <= 0 {
-		budget = 24
-	}
 	type cand struct {
 		idx int
 		gap float64
@@ -557,8 +554,8 @@ func (p *Pipeline) listDecode(st *thrive.PacketState, shifts []int,
 		cands = append(cands, cand{idx: i, gap: gap})
 	}
 	sort.Slice(cands, func(a, b int) bool { return cands[a].gap < cands[b].gap })
-	if len(cands) > budget {
-		cands = cands[:budget]
+	if len(cands) > listDecodeBudget {
+		cands = cands[:listDecodeBudget]
 	}
 	trial := make([]int, len(shifts))
 	for _, c := range cands {

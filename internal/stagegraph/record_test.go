@@ -1,6 +1,7 @@
 package stagegraph
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
 	"reflect"
@@ -126,6 +127,25 @@ func TestRecordingRejectsCorruption(t *testing.T) {
 	}
 	if _, err := ParseRecording(nil); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("empty input: err = %v, want ErrBadMagic", err)
+	}
+}
+
+// TestRecordingRejectsListDecodeBudget pins the retired knob's header
+// field: a header holding the zero every recorder writes parses, and any
+// other budget is an error rather than silently replayed with the fixed one.
+func TestRecordingRejectsListDecodeBudget(t *testing.T) {
+	cfg := Config{Params: collisionParams(), UseBEC: true, ListDecode: true}
+	for _, budget := range []int{0, 5, listDecodeBudget} {
+		hdr := headerFromConfig(&cfg)
+		hdr.ListDecodeBudget = budget
+		js, err := json.Marshal(hdr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ParseRecording(appendRecord([]byte(recMagic), recNameHeader, js))
+		if (err == nil) != (budget == 0) {
+			t.Errorf("ListDecodeBudget %d: err = %v", budget, err)
+		}
 	}
 }
 

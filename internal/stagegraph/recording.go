@@ -67,8 +67,11 @@ type RecHeader struct {
 	MaxPayloadLen     int
 	Omega             float64
 	ListDecode        bool
-	ListDecodeBudget  int
-	Seed              int64
+	// ListDecodeBudget is always 0: the budget is the constant
+	// listDecodeBudget, and the field stays so recording headers keep their
+	// bytes. ParseRecording rejects any other value.
+	ListDecodeBudget int
+	Seed             int64
 }
 
 // headerFromConfig captures the replay-relevant subset of cfg.
@@ -87,7 +90,6 @@ func headerFromConfig(cfg *Config) RecHeader {
 		MaxPayloadLen:     cfg.MaxPayloadLen,
 		Omega:             cfg.Omega,
 		ListDecode:        cfg.ListDecode,
-		ListDecodeBudget:  cfg.ListDecodeBudget,
 		Seed:              cfg.Seed,
 	}
 }
@@ -105,7 +107,6 @@ func (h *RecHeader) Config() Config {
 		MaxPayloadLen:     h.MaxPayloadLen,
 		Omega:             h.Omega,
 		ListDecode:        h.ListDecode,
-		ListDecodeBudget:  h.ListDecodeBudget,
 		Seed:              h.Seed,
 	}
 }

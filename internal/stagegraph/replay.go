@@ -112,6 +112,10 @@ func ParseRecording(data []byte) (*Recording, error) {
 	if rec.Header.Version < 1 || rec.Header.Version > recVersion {
 		return nil, fmt.Errorf("stagegraph: recording version %d not supported (max %d)", rec.Header.Version, recVersion)
 	}
+	if rec.Header.ListDecodeBudget != 0 {
+		return nil, fmt.Errorf("stagegraph: header record: ListDecodeBudget %d not supported (the budget is fixed at %d)",
+			rec.Header.ListDecodeBudget, listDecodeBudget)
+	}
 	if _, err := lora.NewParams(rec.Header.SF, rec.Header.CR, rec.Header.Bandwidth, rec.Header.OSF); err != nil {
 		return nil, fmt.Errorf("stagegraph: header record: %w", err)
 	}

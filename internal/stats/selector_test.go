@@ -114,10 +114,9 @@ func TestSelectorMatchesPercentile(t *testing.T) {
 	}
 }
 
-// TestMedianScratchDistributeMatchesPercentile pins MedianScratch's 2n fast
-// path (the distribute selection) against Percentile(x, 50) bit for bit on
-// the same input shapes as the Selector, and checks that the n-sized
-// fallback path agrees with it.
+// TestMedianScratchDistributeMatchesPercentile pins MedianScratch against
+// Percentile(x, 50) bit for bit on the same input shapes as the Selector,
+// with a 2n scratch (used as is), an n-length one and none (both grown).
 func TestMedianScratchDistributeMatchesPercentile(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	gens := []func(n int) []float64{
@@ -172,15 +171,11 @@ func TestMedianScratchDistributeMatchesPercentile(t *testing.T) {
 			for trial := 0; trial < 5; trial++ {
 				x := gen(n)
 				want := Percentile(x, 50)
-				wide := make([]float64, 2*n)
-				if got := MedianScratch(x, wide); !sameMedian(got, want) {
-					t.Fatalf("gen=%d n=%d trial=%d: distribute MedianScratch=%v (bits %x), Percentile=%v (bits %x)",
-						gi, n, trial, got, math.Float64bits(got), want, math.Float64bits(want))
-				}
-				narrow := make([]float64, n)
-				if got := MedianScratch(x, narrow); !sameMedian(got, want) {
-					t.Fatalf("gen=%d n=%d trial=%d: fallback MedianScratch=%v, Percentile=%v",
-						gi, n, trial, got, want)
+				for _, scratch := range [][]float64{make([]float64, 2*n), make([]float64, n), nil} {
+					if got := MedianScratch(x, scratch); !sameMedian(got, want) {
+						t.Fatalf("gen=%d n=%d trial=%d len(scratch)=%d: MedianScratch=%v (bits %x), Percentile=%v (bits %x)",
+							gi, n, trial, len(scratch), got, math.Float64bits(got), want, math.Float64bits(want))
+					}
 				}
 			}
 		}
@@ -250,8 +245,9 @@ func TestSelectorZeroSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkMedianSelector contrasts the selector with the allocating
-// sort-based Median on the signal-vector lengths the decode loop sees.
+// BenchmarkMedianSelector contrasts the selector and MedianScratch (with the
+// 2n scratch every production caller passes) with the allocating sort-based
+// Median on the signal-vector lengths the decode loop sees.
 func BenchmarkMedianSelector(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{256, 1024} {
@@ -267,6 +263,14 @@ func BenchmarkMedianSelector(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sel.Median(x)
+			}
+		})
+		b.Run(fmt.Sprintf("scratch/n=%d", n), func(b *testing.B) {
+			scratch := make([]float64, 2*n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MedianScratch(x, scratch)
 			}
 		})
 		b.Run(fmt.Sprintf("sorted/n=%d", n), func(b *testing.B) {

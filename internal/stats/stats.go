@@ -14,57 +14,21 @@ func Median(x []float64) float64 {
 	return Percentile(x, 50)
 }
 
-// MedianInPlace returns the median of x, reordering x (but not resizing or
-// copying it). It is the zero-allocation counterpart of Median for hot paths
-// that own their buffer: a quickselect finds the order statistics instead of
-// a full sort, and the interpolation arithmetic matches Percentile(x, 50)
-// bit for bit so callers can swap it in without perturbing results.
-func MedianInPlace(x []float64) float64 {
-	n := len(x)
-	if n == 0 {
-		return 0
-	}
-	// Percentile(50): pos = (n-1)/2, i = floor(pos), frac = pos - i.
-	i := (n - 1) / 2
-	frac := 0.5 * float64((n-1)%2)
-	quickselect(x, i)
-	if i+1 >= n {
-		return x[i]
-	}
-	// The (i+1)-th order statistic is the minimum of the partition right of
-	// i, which quickselect left with only >= elements.
-	next := x[i+1]
-	for _, v := range x[i+2:] {
-		if v < next {
-			next = v
-		}
-	}
-	return x[i]*(1-frac) + next*frac
-}
-
 // MedianScratch returns the median of x without modifying it, using scratch
-// as working space. With cap(scratch) >= 2·len(x) it runs the distribute
-// selection (selectPair) — the fast path for hot scans, where the in-place
-// quickselect's data-dependent partition branches mispredict on every
-// unseen window; with a smaller scratch it falls back to the in-place
-// quickselect, and allocates only when scratch is smaller than len(x).
-// Both paths return the same bits as Percentile(x, 50).
+// as working space for the distribute selection (selectPair). It allocates
+// only when cap(scratch) < 2·len(x), and returns the same bits as
+// Percentile(x, 50).
 func MedianScratch(x, scratch []float64) float64 {
 	n := len(x)
 	if n == 0 {
 		return 0
 	}
-	if cap(scratch) >= 2*n {
-		s := scratch[:2*n]
-		copy(s[:n], x)
-		return median(s, n)
+	if cap(scratch) < 2*n {
+		scratch = make([]float64, 2*n)
 	}
-	if cap(scratch) < n {
-		scratch = make([]float64, n)
-	}
-	s := scratch[:n]
-	copy(s, x)
-	return MedianInPlace(s)
+	s := scratch[:2*n]
+	copy(s[:n], x)
+	return median(s, n)
 }
 
 // MedianArgMin returns the median of x (the bits of MedianScratch) together
@@ -253,57 +217,6 @@ rounds:
 		next = rightMin
 	}
 	return kth, next
-}
-
-// quickselect partially orders x so that x[k] holds the k-th order
-// statistic, everything left of k is <=, and everything right is >=.
-// Median-of-three pivoting keeps the walk deterministic and robust on the
-// sorted and constant inputs common in signal vectors.
-func quickselect(x []float64, k int) {
-	lo, hi := 0, len(x)-1
-	for lo < hi {
-		if hi-lo < 12 {
-			// Insertion sort for small ranges.
-			for i := lo + 1; i <= hi; i++ {
-				for j := i; j > lo && x[j] < x[j-1]; j-- {
-					x[j], x[j-1] = x[j-1], x[j]
-				}
-			}
-			return
-		}
-		mid := lo + (hi-lo)/2
-		if x[mid] < x[lo] {
-			x[mid], x[lo] = x[lo], x[mid]
-		}
-		if x[hi] < x[lo] {
-			x[hi], x[lo] = x[lo], x[hi]
-		}
-		if x[hi] < x[mid] {
-			x[hi], x[mid] = x[mid], x[hi]
-		}
-		pivot := x[mid]
-		i, j := lo, hi
-		for i <= j {
-			for x[i] < pivot {
-				i++
-			}
-			for x[j] > pivot {
-				j--
-			}
-			if i <= j {
-				x[i], x[j] = x[j], x[i]
-				i++
-				j--
-			}
-		}
-		if k <= j {
-			hi = j
-		} else if k >= i {
-			lo = i
-		} else {
-			return
-		}
-	}
 }
 
 // Percentile returns the p-th percentile (0..100) of x using linear

@@ -157,7 +157,7 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-func TestMedianInPlaceMatchesMedianExactly(t *testing.T) {
+func TestMedianScratchMatchesMedianExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 500; trial++ {
 		n := rng.Intn(300)
@@ -173,13 +173,10 @@ func TestMedianInPlaceMatchesMedianExactly(t *testing.T) {
 			}
 		}
 		want := Median(x)
-		cp := append([]float64(nil), x...)
-		got := MedianInPlace(cp)
-		if got != want { // bit-exact, not approximate: hot paths swap this in
-			t.Fatalf("n=%d: MedianInPlace = %v, Median = %v", n, got, want)
-		}
-		if gotS := MedianScratch(x, make([]float64, 0, n)); gotS != want {
-			t.Fatalf("n=%d: MedianScratch = %v, Median = %v", n, gotS, want)
+		for _, scratch := range [][]float64{nil, make([]float64, 0, n), make([]float64, 2*n)} {
+			if got := MedianScratch(x, scratch); got != want { // bit-exact: hot paths swap this in
+				t.Fatalf("n=%d cap(scratch)=%d: MedianScratch = %v, Median = %v", n, cap(scratch), got, want)
+			}
 		}
 	}
 }
@@ -199,8 +196,8 @@ func TestMedianScratchDoesNotModifyInput(t *testing.T) {
 	}
 }
 
-func TestMedianInPlaceSortedAndReversed(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 12, 13, 100, 101} {
+func TestMedianScratchSortedAndReversed(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 12, 13, 16, 17, 100, 101} {
 		asc := make([]float64, n)
 		for i := range asc {
 			asc[i] = float64(i)
@@ -209,34 +206,11 @@ func TestMedianInPlaceSortedAndReversed(t *testing.T) {
 		for i := range desc {
 			desc[i] = float64(n - i)
 		}
-		wantAsc := Median(asc)
-		wantDesc := Median(desc)
-		if got := MedianInPlace(append([]float64(nil), asc...)); got != wantAsc {
-			t.Fatalf("sorted n=%d: got %v want %v", n, got, wantAsc)
+		if got, want := MedianScratch(asc, nil), Median(asc); got != want {
+			t.Fatalf("sorted n=%d: got %v want %v", n, got, want)
 		}
-		if got := MedianInPlace(append([]float64(nil), desc...)); got != wantDesc {
-			t.Fatalf("reversed n=%d: got %v want %v", n, got, wantDesc)
+		if got, want := MedianScratch(desc, nil), Median(desc); got != want {
+			t.Fatalf("reversed n=%d: got %v want %v", n, got, want)
 		}
 	}
-}
-
-func BenchmarkMedian(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := make([]float64, 256)
-	for i := range x {
-		x[i] = rng.ExpFloat64()
-	}
-	b.Run("copy-sort", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			Median(x)
-		}
-	})
-	scratch := make([]float64, 256)
-	b.Run("scratch-select", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			MedianScratch(x, scratch)
-		}
-	})
 }

@@ -30,8 +30,7 @@ func FuzzStreamFeed(f *testing.F) {
 		// with an 8-byte payload bound gives a window of a few thousand
 		// samples, so Flush always runs a full decode pass.
 		s, err := New(Config{
-			Receiver:      stagegraph.Config{Params: lora.MustParams(6, 4, 125e3, 1), Workers: 1},
-			MaxPayloadLen: 8,
+			Receiver: stagegraph.Config{Params: lora.MustParams(6, 4, 125e3, 1), Workers: 1, MaxPayloadLen: 8},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -78,13 +78,10 @@ type Streamer struct {
 
 // Config tunes the streamer.
 type Config struct {
+	// Receiver configures the decoder. Its MaxPayloadLen (0 → 48 bytes)
+	// also bounds the packet length the overlap must cover; the window is
+	// 4× that packet length.
 	Receiver stagegraph.Config
-	// MaxPayloadLen bounds the packet length the overlap must cover
-	// (0 → the receiver's own default of 48 bytes).
-	MaxPayloadLen int
-	// WindowSamples is the processing block size (0 → 4× the maximum
-	// packet length).
-	WindowSamples int
 	// MaxBufferSamples is the hard ceiling on buffered samples. A Feed
 	// that would exceed it is rejected with a typed *OverflowError
 	// instead of growing the buffer. 0 selects 4× (window + overlap) —
@@ -103,22 +100,13 @@ func New(cfg Config) (*Streamer, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	maxPayload := cfg.MaxPayloadLen
+	maxPayload := cfg.Receiver.MaxPayloadLen
 	if maxPayload == 0 {
 		maxPayload = 48
 	}
-	if cfg.Receiver.MaxPayloadLen == 0 {
-		cfg.Receiver.MaxPayloadLen = maxPayload
-	}
 	pktLen := p.PacketSamples(maxPayload)
 	overlap := pktLen + 2*p.SymbolSamples()
-	window := cfg.WindowSamples
-	if window <= 0 {
-		window = 4 * pktLen
-	}
-	if window < overlap {
-		return nil, fmt.Errorf("stream: window %d smaller than overlap %d", window, overlap)
-	}
+	window := 4 * pktLen
 	maxBuffer := cfg.MaxBufferSamples
 	switch {
 	case maxBuffer == 0:

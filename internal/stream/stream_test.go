@@ -230,11 +230,30 @@ func TestNewStreamerValidation(t *testing.T) {
 	if _, err := New(Config{Receiver: stagegraph.Config{Params: lora.Params{}}}); err == nil {
 		t.Error("invalid params accepted")
 	}
-	if _, err := New(Config{
-		Receiver:      stagegraph.Config{Params: streamParams()},
-		WindowSamples: 10, // smaller than the overlap
-	}); err == nil {
-		t.Error("window smaller than overlap accepted")
+}
+
+// TestWindowFollowsReceiverPayloadBound pins the window and overlap New
+// derives from Receiver.MaxPayloadLen to the values the streamer had when
+// it took the bound as a field of its own, with the receiver's bound unset.
+func TestWindowFollowsReceiverPayloadBound(t *testing.T) {
+	for _, c := range []struct {
+		p               lora.Params
+		maxPayload      int
+		window, overlap int
+	}{
+		{streamParams(), 0, 1017856, 258560},
+		{streamParams(), 8, 362496, 94720},
+		{streamParams(), 12, 428032, 111104},
+		{lora.MustParams(6, 4, 125e3, 1), 8, 13376, 3472},
+	} {
+		s, err := New(Config{Receiver: stagegraph.Config{Params: c.p, MaxPayloadLen: c.maxPayload}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.WindowSamples() != c.window || s.OverlapSamples() != c.overlap {
+			t.Errorf("SF %d OSF %d, MaxPayloadLen %d: window %d overlap %d, want %d and %d",
+				c.p.SF, c.p.OSF, c.maxPayload, s.WindowSamples(), s.OverlapSamples(), c.window, c.overlap)
+		}
 	}
 }
 

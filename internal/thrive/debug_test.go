@@ -25,7 +25,7 @@ func TestDebugThreePacket(t *testing.T) {
 		for j := range rec.Shifts {
 			if states[i].Assigned[j] != rec.Shifts[j] {
 				y := states[i].Calc.SigVec(j)
-				ps := peaks.Find(y, 0, 8)
+				ps := peaks.FindInto(nil, y, 0, 8)
 				trueH := y[rec.Shifts[j]]
 				t.Logf("pkt %d sym %d: got %d want %d (trueY=%.3e) peaks=%v",
 					i, j, states[i].Assigned[j], rec.Shifts[j], trueH, ps)
