@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
@@ -34,6 +35,8 @@ var testOnlyAllowed = map[string]string{
 	"internal/stagegraph:Config.Omega":              "ablation hook: BenchmarkAblationOmega sweeps the history-cost weight ω",
 	"internal/stagegraph:Config.W":                  "test hook: the failure-attribution tests starve BEC's CRC budget to force bec_budget_exhausted",
 	"internal/stagegraph:Config.FaultCFOBiasCycles": "test hook: the failure-attribution tests corrupt the CFO lock so the loss must be attributed to sync",
+	"internal/detect:Detector.CFOBiasCycles":        "test hook: the detector end of Config.FaultCFOBiasCycles, which New copies into it",
+	"internal/stagegraph:Config.MaxPayloadLen":      "fixture knob: the golden, fuzz and differential fixtures decode with a 12- or 16-byte bound to keep provisional calculators small, and golden_2pkt.tnbsgr records 12 in its header, so a constant 48 would change its bytes; production takes the 48-byte default",
 	"internal/stagegraph:Config.ListDecode":         "extension: list decoding decodes 239 packets where plain decoding gets 235 (EXPERIMENTS.md); whether it becomes the default is for the decode-quality gate to decide",
 	"internal/lora:Params.LDRO":                     "extension: low-data-rate optimization for SF 11/12, pinned by the LDRO tests; no command turns it on yet",
 	"internal/gateway:Backoff.Seed":                 "test hook: the retry tests pin reproducible jitter schedules; production uses seed 1",
@@ -52,10 +55,14 @@ var testOnlyAllowed = map[string]string{
 //     file. A field counts as set when it is a key in a composite literal of
 //     its type (T{F: …} or pkg.T{F: …}, also with the type elided inside a
 //     slice or map literal), when an unkeyed literal of its type exists, or
-//     when x.F is the target of an assignment, ++/-- or &x.F. A key whose
-//     value is another field (T{F: y.G}) is a copy: it sets F only if G is
-//     set, so a config round trip through a recording header does not make
-//     a never-set knob look set.
+//     when x.F is the target of an assignment, ++/-- or &x.F. A defaulting
+//     assignment, x.F = c in the body of if x.F == <zero value> with c a
+//     literal or a constant, does not count: it fills in what nobody set. A
+//     key whose
+//     value is another field (T{F: y.G}) is a copy, and so is an
+//     assignment x.F = y.G: it sets F only if G is set, so a config round
+//     trip through a recording header does not make a never-set knob look
+//     set.
 //
 // bench/, cmd/ and examples/ count as production code. There is no type
 // checker here: function names are matched as identifiers, and x in x.F or
@@ -129,7 +136,8 @@ type census struct {
 	// assigned holds the field names set through an x that does not
 	// resolve.
 	assigned map[string]bool
-	// copies holds the literal keys T{F: y.G}: key is "<dir>:<Type>.F",
+	// copies holds the literal keys T{F: y.G} and the assignments
+	// x.F = y.G: key is "<dir>:<Type>.F", or F when x does not resolve,
 	// src the resolved "<dir>:<Type>.G" or, when y does not resolve, G.
 	copies []fieldCopy
 }
@@ -148,8 +156,9 @@ func fieldName(key string) string { return key[strings.LastIndex(key, ".")+1:] }
 
 // resolveCopies marks every copied key whose source is set, repeating until
 // nothing changes, since a copy can feed a copy. An unresolved source G is
-// set when any field named G is. A resolved key its type does not declare
-// (a field promoted from an embedded struct) falls back to its name first.
+// set when any field named G is. A resolved key or source its type does not
+// declare (a field promoted from an embedded struct) falls back to its name
+// first.
 func (c *census) resolveCopies() {
 	for k := range c.keyed {
 		if !c.declared[k] {
@@ -159,6 +168,9 @@ func (c *census) resolveCopies() {
 	for i, cp := range c.copies {
 		if !c.declared[cp.src] {
 			c.copies[i].src = fieldName(cp.src)
+		}
+		if strings.Contains(cp.key, ":") && !c.declared[cp.key] {
+			c.copies[i].key = fieldName(cp.key)
 		}
 	}
 	// names holds every field name set somewhere, for unresolved sources.
@@ -177,11 +189,15 @@ func (c *census) resolveCopies() {
 	for changed := true; changed; {
 		changed = false
 		for _, cp := range c.copies {
-			if c.keyed[cp.key] {
+			set := c.keyed
+			if !strings.Contains(cp.key, ":") {
+				set = c.assigned
+			}
+			if set[cp.key] {
 				continue
 			}
 			if c.declared[cp.src] && c.setField(cp.src) || names[cp.src] {
-				c.keyed[cp.key] = true
+				set[cp.key] = true
 				names[fieldName(cp.key)] = true
 				changed = true
 			}
@@ -272,25 +288,54 @@ func (c *census) add(f *ast.File, dir string) {
 	// elided maps a literal written without its type (the inner {…} of
 	// []T{{…}}) to the type its enclosing literal implies.
 	elided := map[*ast.CompositeLit]ast.Expr{}
-	target := func(x ast.Expr) {
+	// ref names the field y.G as "<dir>:<Type>.G", or G when y does not
+	// resolve; it returns "" when x is no field selector.
+	ref := func(x ast.Expr) string {
 		sel, ok := x.(*ast.SelectorExpr)
-		if !ok {
-			return
+		if !ok || isPackage(sel.X, imports) {
+			return ""
 		}
 		if typ := varType(sel.X, dir, imports); typ != "" {
-			c.keyed[typ+"."+sel.Sel.Name] = true
-		} else {
-			c.assigned[sel.Sel.Name] = true
+			return typ + "." + sel.Sel.Name
+		}
+		return sel.Sel.Name
+	}
+	target := func(x ast.Expr) {
+		switch k := ref(x); {
+		case strings.Contains(k, ":"):
+			c.keyed[k] = true
+		case k != "":
+			c.assigned[k] = true
 		}
 	}
+	// defaulting holds the assignments x.F = d that fill in a zero x.F.
+	defaulting := map[*ast.AssignStmt]bool{}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.Ident:
 			if !own[n] {
 				c.uses[n.Name]++
 			}
+		case *ast.IfStmt:
+			if x := zeroTest(n.Cond); x != nil {
+				for _, st := range n.Body.List {
+					if as, ok := st.(*ast.AssignStmt); ok && as.Tok == token.ASSIGN && len(as.Lhs) == 1 &&
+						types.ExprString(as.Lhs[0]) == types.ExprString(x) && isConstant(as.Rhs[0]) {
+						defaulting[as] = true
+					}
+				}
+			}
 		case *ast.AssignStmt:
-			for _, x := range n.Lhs {
+			if defaulting[n] {
+				return true
+			}
+			for i, x := range n.Lhs {
+				if len(n.Rhs) == len(n.Lhs) && n.Tok == token.ASSIGN {
+					if k, src := ref(x), ref(n.Rhs[i]); k != "" && src != "" {
+						c.copies = append(c.copies, fieldCopy{key: k, src: src})
+						continue
+					}
+				}
 				target(x)
 			}
 		case *ast.IncDecStmt:
@@ -336,11 +381,7 @@ func (c *census) add(f *ast.File, dir string) {
 				if !ok {
 					continue
 				}
-				if sel, ok := kv.Value.(*ast.SelectorExpr); ok && !isPackage(sel.X, imports) {
-					src := sel.Sel.Name
-					if typ := varType(sel.X, dir, imports); typ != "" {
-						src = typ + "." + src
-					}
+				if src := ref(kv.Value); src != "" {
 					c.copies = append(c.copies, fieldCopy{key: name + "." + k.Name, src: src})
 				} else {
 					c.keyed[name+"."+k.Name] = true
@@ -349,6 +390,42 @@ func (c *census) add(f *ast.File, dir string) {
 		}
 		return true
 	})
+}
+
+// zeroTest returns x.F when cond is x.F == <zero value>: 0, "", nil or
+// false; it returns nil otherwise.
+func zeroTest(cond ast.Expr) ast.Expr {
+	be, ok := cond.(*ast.BinaryExpr)
+	if !ok || be.Op != token.EQL {
+		return nil
+	}
+	sel, ok := be.X.(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	switch z := be.Y.(type) {
+	case *ast.BasicLit:
+		if v := strings.Trim(z.Value, `"0.`); v == "" {
+			return sel
+		}
+	case *ast.Ident:
+		if z.Name == "nil" || z.Name == "false" {
+			return sel
+		}
+	}
+	return nil
+}
+
+// isConstant reports whether x is a literal or names a constant declared in
+// its file.
+func isConstant(x ast.Expr) bool {
+	switch x := x.(type) {
+	case *ast.BasicLit:
+		return true
+	case *ast.Ident:
+		return x.Obj != nil && x.Obj.Kind == ast.Con
+	}
+	return false
 }
 
 // isPackage reports whether x names an imported package, so x.G is a

@@ -58,6 +58,10 @@ type Detector struct {
 	RefineStats parallel.Stats
 	// ScanStats reports the last Detect call's per-window scan fan-out.
 	ScanStats parallel.Stats
+	// QSearchFallbacks counts the last Detect call's §7 searches that
+	// evaluated their δt sweep hypothesis by hypothesis because an anchor
+	// touched a trace edge (see anchorStore).
+	QSearchFallbacks int
 	// Trace, when non-nil, receives one event per preamble candidate:
 	// accepted with the refined estimates, or rejected with the reason.
 	Trace *obs.Tracer
@@ -112,9 +116,11 @@ type refineScratch struct {
 	downSum []complex128 // coherent downchirp sum (Q)
 	med     []float64    // MedianScratch working space, 2n for the distribute path
 
-	rows lora.PreambleRows        // dechirped rows of the current Q-search start
-	rot  [3]lora.PreambleRotation // CFO rotations of the phase-2 lines
-	qres []qResult                // phase-2 results, line-major
+	rows      lora.PreambleRows        // dechirped rows of the current Q-search start
+	rot       [3]lora.PreambleRotation // CFO rotations of the phase-2 lines
+	qres      []qResult                // phase-2 results, line-major
+	anchors   anchorStore              // anchor spectra of the δt sweep
+	fallbacks int                      // searches without anchors since Detect began
 }
 
 func (d *Detector) newRefineScratch() *refineScratch {
@@ -133,6 +139,12 @@ func (d *Detector) newRefineScratch() *refineScratch {
 // the refined packets sorted by start time.
 func (d *Detector) Detect(antennas [][]complex128) []Packet {
 	d.ScanStats, d.RefineStats = parallel.Stats{}, parallel.Stats{}
+	d.QSearchFallbacks = 0
+	for _, rs := range d.refScratches {
+		if rs != nil {
+			rs.fallbacks = 0
+		}
+	}
 	if len(antennas) == 0 || len(antennas[0]) == 0 {
 		return nil
 	}
@@ -160,6 +172,11 @@ func (d *Detector) Detect(antennas [][]complex128) []Packet {
 		pkt, reject := d.refine(antennas, cands[i], d.refScratches[w])
 		results[i] = refined{pkt: pkt, reject: reject}
 	})
+	for _, rs := range d.refScratches {
+		if rs != nil {
+			d.QSearchFallbacks += rs.fallbacks
+		}
+	}
 
 	// Merge in candidate order: trace events and the packet list are
 	// byte-identical to the serial path regardless of scheduling.

@@ -203,3 +203,44 @@ func BenchmarkDetectOnePacketTrace(b *testing.B) {
 		}
 	}
 }
+
+// TestDetectCountsQSearchFallbacks checks QSearchFallbacks per Detect call:
+// a packet at the head of the trace puts its searches' first anchors before
+// sample 0, so they fall back; the next call, on a packet mid-trace, starts
+// the count again from zero.
+func TestDetectCountsQSearchFallbacks(t *testing.T) {
+	p := lora.MustParams(8, 4, 125e3, 8)
+	d := NewDetector(p)
+	for _, c := range []struct {
+		start     float64
+		fallbacks bool
+	}{{1.3, true}, {31234.56, false}} {
+		tr, _ := buildTrace(t, 80, p, []pktSpec{{start: c.start, snr: 10, cfo: 2700}}, true)
+		if pkts := d.Detect(tr.Antennas); len(pkts) != 1 {
+			t.Fatalf("start %v: detected %d packets, want 1", c.start, len(pkts))
+		}
+		if got := d.QSearchFallbacks > 0; got != c.fallbacks {
+			t.Errorf("start %v: %d Q-search fallbacks, want any: %v", c.start, d.QSearchFallbacks, c.fallbacks)
+		}
+	}
+}
+
+// TestRefineStartsOnHalfSampleGrid checks that refine hands the §7 search
+// starts on the half-sample grid, the class the search's tight contract with
+// its oracle covers, at OSF 1, where the coarse timing's half chip is half a
+// sample. There the search's δt is a multiple of half a sample too, so each
+// packet start must be one.
+func TestRefineStartsOnHalfSampleGrid(t *testing.T) {
+	p := lora.MustParams(8, 4, 125e3, 1)
+	specs := []pktSpec{{start: 4000.3, snr: 10, cfo: 2700}, {start: 40000.8, snr: 12, cfo: -1500}, {start: 80000.55, snr: 8, cfo: 900}}
+	tr, _ := buildTrace(t, 81, p, specs, true)
+	pkts := NewDetector(p).Detect(tr.Antennas)
+	if len(pkts) < len(specs) {
+		t.Fatalf("detected %d packets, want at least %d", len(pkts), len(specs))
+	}
+	for _, pkt := range pkts {
+		if !onHalfGrid(pkt.Start) {
+			t.Errorf("packet start %v is off the half-sample grid", pkt.Start)
+		}
+	}
+}

@@ -113,7 +113,7 @@ func TestFractionalSearchConvergesFromCoarseOffsets(t *testing.T) {
 }
 
 // evalQOracle is the per-hypothesis Q evaluation the shared-row search
-// replaced, kept as the reference it must match within qRelBound: every row
+// replaced, kept as the reference checkSearch holds it to: every row
 // is dechirped with its CFO correction fused in, transformed on its own and
 // added to the coherent sums.
 func (d *Detector) evalQOracle(antennas [][]complex128, start, cfo, dt, df float64, rs *refineScratch) qResult {
@@ -232,55 +232,119 @@ func diffTrace(t *testing.T, p lora.Params, seed int64) ([][]complex128, float64
 	return tr.Antennas, start, cfoHz * p.SymbolDuration()
 }
 
-// qRelBound is the relative error the factored Q search may add against
-// evalQOracle. Summing the rows in the time domain reorders the rounding of
-// a sum of 10·antennas rows, and the oracle's kernel rounds each CFO phase
-// at the magnitude of phase0 (up to a few hundred radians, ~1e-14 rad)
-// where the factored rotation rounds it at the magnitude of the ramp. The
-// measured errors are ~1e-15 at Q's peak and up to ~4e-14 at off-peak
-// hypotheses, inside the bound.
+// The Q-search contract against the oracle. fractionalSearch differs from
+// evalQOracle in two ways, neither bit-exact:
+//
+//   - Its sums are factored. Summing the rows in the time domain reorders
+//     the rounding of a sum of 10·antennas rows, and the oracle's kernel
+//     rounds each CFO phase at the magnitude of phase0 (up to a few hundred
+//     radians, ~1e-14 rad) where the factored rotation rounds it at the
+//     magnitude of the ramp. Measured: ~1e-15 at Q's peak, up to ~4e-14 at
+//     off-peak hypotheses.
+//   - Phases 2 and 3 interpolate anchor spectra, S(m) + (S(m+1)−S(m))·a,
+//     where the oracle interpolates each sample. For a start on the
+//     half-sample grid every position is an exact dyadic number, the oracle
+//     reads every sample at weight a exactly, and the two differ by rounding
+//     alone. These are the only starts refine passes, since its coarse
+//     timing δ is a multiple of half a chip.
+//
+// So on the half-sample grid the search meets qRelBound and picks the same
+// (δt, δf) as the oracle; 936 searches measured a worst error of 1.9e-15
+// and no differing pick.
 const qRelBound = 1e-13
 
-// qClose reports whether a and b agree within qRelBound, relative to the
-// larger magnitude.
-func qClose(a, b float64) bool {
-	return math.Abs(a-b) <= qRelBound*math.Max(math.Abs(a), math.Abs(b))
+// qFracBound is the relative error allowed at a fractional start in a trace
+// of n samples. There the oracle itself rounds: row k starts at the rounded
+// P + k·sym and advances by pos += OSF, so each weight it applies is off
+// from the exact fractional part of P by up to the ulp of the position,
+// below 2n, hence ≤ ulp(2n) = 2·ulp(n). Q's relative change per unit of
+// weight is 2|S(m+1)−S(m)|/|S|, at most 2 while the amplitude changes by
+// no more than its own size over one sample. Hence qRelBound + 4·ulp(n).
+// Measured: up to 2.1e-13 at n ≈ 10⁵ (0.03·ulp(n)), against a bound of
+// ~1e-10.
+func qFracBound(n int) float64 {
+	f := float64(n)
+	return qRelBound + 4*(math.Nextafter(f, math.Inf(1))-f)
 }
 
+// qClose reports whether a and b agree within the relative bound, relative
+// to the larger magnitude.
+func qClose(a, b, bound float64) bool {
+	return math.Abs(a-b) <= bound*math.Max(math.Abs(a), math.Abs(b))
+}
+
+// onHalfGrid reports whether start is a multiple of half a sample.
+func onHalfGrid(start float64) bool { return 2*start == math.Round(2*start) }
+
 // checkSearch runs fractionalSearch and its oracle from (start, cfo) and
-// checks the contract between them: Q within qRelBound, and the same
-// (δt, δf) unless the oracle's own Q* values at the two picks — the
-// quantity the search maximizes — are within qRelBound of each other, a tie
-// rounding may break either way. It reports whether the picks were such a
-// tie.
-func (d *Detector) checkSearch(ants [][]complex128, start, cfo float64, rs *refineScratch) (tie bool, err error) {
+// checks the contract between them. On the half-sample grid: Q within
+// qRelBound and the same (δt, δf). Elsewhere: Q within qFracBound, and the
+// same (δt, δf) unless the oracle's own Q* values at the two picks — the
+// quantity the search maximizes — are within qFracBound of each other, a
+// tie rounding may break either way. It reports the relative Q error and
+// whether the picks were such a tie.
+func (d *Detector) checkSearch(ants [][]complex128, start, cfo float64, rs *refineScratch) (rel float64, tie bool, err error) {
 	gt, gf, gq := d.fractionalSearch(ants, start, cfo, rs)
 	ors := d.newRefineScratch()
 	wt, wf, wq := d.fractionalSearchOracle(ants, start, cfo, ors)
-	if !qClose(gq, wq) {
-		return false, fmt.Errorf("search (%v, %v, Q %v), oracle (%v, %v, Q %v): Q outside the bound", gt, gf, gq, wt, wf, wq)
+	bound := qFracBound(len(ants[0]))
+	if onHalfGrid(start) {
+		bound = qRelBound
+	}
+	if m := math.Max(math.Abs(gq), math.Abs(wq)); m > 0 {
+		rel = math.Abs(gq-wq) / m
+	}
+	if !qClose(gq, wq, bound) {
+		return rel, false, fmt.Errorf("search (%v, %v, Q %v), oracle (%v, %v, Q %v): Q outside the bound %g", gt, gf, gq, wt, wf, wq, bound)
 	}
 	if gt == wt && gf == wf {
-		return false, nil
+		return rel, false, nil
+	}
+	if onHalfGrid(start) {
+		return rel, false, fmt.Errorf("search (%v, %v, Q %v), oracle (%v, %v, Q %v): picks differ on the half-sample grid", gt, gf, gq, wt, wf, wq)
 	}
 	qg := d.qStar(d.evalQOracle(ants, start, cfo, gt, gf, ors))
 	qw := d.qStar(d.evalQOracle(ants, start, cfo, wt, wf, ors))
-	if !qClose(qg, qw) {
-		return false, fmt.Errorf("search (%v, %v, Q %v), oracle (%v, %v, Q %v): oracle Q* at the picks %v and %v is no tie",
+	if !qClose(qg, qw, bound) {
+		return rel, false, fmt.Errorf("search (%v, %v, Q %v), oracle (%v, %v, Q %v): oracle Q* at the picks %v and %v is no tie",
 			gt, gf, gq, wt, wf, wq, qg, qw)
 	}
-	return true, nil
+	return rel, true, nil
 }
 
-// TestFractionalSearchMatchesOracle is the differential test of the
-// shared-row search against the per-hypothesis oracle under checkSearch's
-// contract; ties are counted and logged. The cases cover SF 7–9, every OSF
-// (phase 3's reuse index depends on it), one and two antennas, fractional
-// starts, integer starts whose downchirps run past the end of the trace
-// (the fused kernel's unrotated zero tail), negative starts (rows left out
-// of the sums) and CFOs for which a hypothesis has exactly zero correction.
+// searchTally collects checkSearch outcomes by start class, on the
+// half-sample grid (0) or off it (1), for the tests' logs.
+type searchTally struct {
+	n, ties [2]int
+	worst   [2]float64
+}
+
+func (s *searchTally) add(start, rel float64, tie bool) {
+	c := 1
+	if onHalfGrid(start) {
+		c = 0
+	}
+	s.n[c]++
+	s.worst[c] = math.Max(s.worst[c], rel)
+	if tie {
+		s.ties[c]++
+	}
+}
+
+func (s *searchTally) String() string {
+	return fmt.Sprintf("half-sample grid: %d searches, worst relative Q error %.2g; fractional: %d searches, worst %.2g, %d ties",
+		s.n[0], s.worst[0], s.n[1], s.worst[1], s.ties[1])
+}
+
+// TestFractionalSearchMatchesOracle is the differential test of the search
+// against the per-hypothesis oracle under checkSearch's contract. The cases
+// cover SF 7–9, every OSF, one and two antennas, starts on the half-sample
+// grid and off it, integer starts whose downchirps run past the end of the
+// trace (the fused kernel's unrotated zero tail), negative starts (rows
+// left out of the sums) and CFOs for which a hypothesis has exactly zero
+// correction.
 func TestFractionalSearchMatchesOracle(t *testing.T) {
-	ties, searches := 0, 0
+	var tally searchTally
 	for sf := 7; sf <= 9; sf++ {
 		for _, osf := range []int{1, 2, 4, 8} {
 			p := lora.MustParams(sf, 4, 125e3, osf)
@@ -290,31 +354,85 @@ func TestFractionalSearchMatchesOracle(t *testing.T) {
 			cases := []struct{ start, cfo float64 }{
 				{start, cfo},
 				{start + 0.25*float64(osf), cfo - 0.4},
-				{start - 1.5, 0.5},        // phase 1 reaches δf = −0.5: zero CFO
-				{start + 3, 0},            // phase 1 ends at δf = 0: zero CFO
-				{end - 6*sym, cfo},        // integer start, downchirps past the end
-				{end - 11*sym + 0.5, cfo}, // fractional start, last downchirp past the end
-				{-3*sym - 0.25, cfo},      // first rows before sample 0
-				{-2 * sym, 0.5},           // integer negative start, zero CFO
+				{math.Round(start), cfo},             // refine's integer starts
+				{math.Round(start) + 0.5, cfo - 0.4}, // and half-sample ones (OSF 1)
+				{start - 1.5, 0.5},                   // phase 1 reaches δf = −0.5: zero CFO
+				{start + 3, 0},                       // phase 1 ends at δf = 0: zero CFO
+				{end - 6*sym, cfo},                   // integer start, downchirps past the end
+				{end - 11*sym + 0.5, cfo},            // last downchirp past the end
+				{-3*sym - 0.25, cfo},                 // first rows before sample 0
+				{-2 * sym, 0.5},                      // integer negative start, zero CFO
 			}
 			for _, nAnt := range []int{1, 2} {
 				d := NewDetector(p)
 				rs := d.newRefineScratch()
 				for ci, c := range cases {
-					tie, err := d.checkSearch(ants[:nAnt], c.start, c.cfo, rs)
-					searches++
+					rel, tie, err := d.checkSearch(ants[:nAnt], c.start, c.cfo, rs)
+					tally.add(c.start, rel, tie)
 					if err != nil {
 						t.Errorf("SF%d OSF%d ants=%d case %d: %v", sf, osf, nAnt, ci, err)
 					}
 					if tie {
-						ties++
 						t.Logf("SF%d OSF%d ants=%d case %d: picks differ on a Q* tie", sf, osf, nAnt, ci)
 					}
 				}
 			}
 		}
 	}
-	t.Logf("%d searches, %d ties", searches, ties)
+	t.Log(&tally)
+}
+
+// TestFractionalSearchAnchorsAtTraceEdges places the search's first anchor
+// exactly on sample 0, or its last read exactly on the trace's final
+// sample, where the interpolated path must run, and one sample further out,
+// where the search must fall back. Both paths are held to the oracle under
+// checkSearch's contract, on the half-sample grid and off it.
+func TestFractionalSearchAnchorsAtTraceEdges(t *testing.T) {
+	var tally searchTally
+	for sf := 7; sf <= 8; sf++ {
+		for _, osf := range []int{1, 2, 8} {
+			p := lora.MustParams(sf, 4, 125e3, osf)
+			ants, start, cfo := diffTrace(t, p, int64(100*sf+osf))
+			reach := float64(osf)/2 + 1 // the sweep's extent either side of the start
+			tail := 11*p.SymbolSamples() + (p.N()-1)*osf
+			off := int(start - reach) // drop the samples before the packet
+			for _, frac := range []float64{0, 0.5, 0.37} {
+				for _, out := range []int{0, 1} {
+					// Head: the first anchor floor(s−reach) is −out.
+					s := reach + frac - float64(out)
+					head := make([][]complex128, len(ants))
+					for i := range ants {
+						head[i] = ants[i][off:]
+					}
+					// Tail: the last anchor ceil(s'+reach) reads up to sample
+					// len−1+out.
+					s2 := math.Floor(start) + frac
+					end := int(math.Ceil(s2+reach)) + tail + 1 - out
+					tailAnts := make([][]complex128, len(ants))
+					for i := range ants {
+						tailAnts[i] = ants[i][:end]
+					}
+					for _, c := range []struct {
+						name  string
+						ants  [][]complex128
+						start float64
+					}{{"head", head, s}, {"tail", tailAnts, s2}} {
+						d := NewDetector(p)
+						rs := d.newRefineScratch()
+						rel, tie, err := d.checkSearch(c.ants, c.start, cfo, rs)
+						tally.add(c.start, rel, tie)
+						if err != nil {
+							t.Errorf("SF%d OSF%d %s start %v: %v", sf, osf, c.name, c.start, err)
+						}
+						if rs.fallbacks != out {
+							t.Errorf("SF%d OSF%d %s start %v: %d fallbacks, want %d", sf, osf, c.name, c.start, rs.fallbacks, out)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Log(&tally)
 }
 
 // TestEvalQMatchesOracle compares single Q evaluations at random hypotheses
@@ -351,7 +469,7 @@ func TestEvalQMatchesOracle(t *testing.T) {
 		}
 		got := d.evalQ(ants[:1+i%2], s, c, dt, df, rs)
 		want := d.evalQOracle(ants[:1+i%2], s, c, dt, df, ors)
-		if !qClose(got.energy, want.energy) {
+		if !qClose(got.energy, want.energy, qRelBound) {
 			t.Fatalf("hypothesis %d (start %v, cfo %v, dt %v, df %v): %+v, oracle %+v", i, s, c, dt, df, got, want)
 		}
 		if want.energy > 0 {
@@ -364,7 +482,7 @@ func TestEvalQMatchesOracle(t *testing.T) {
 			if b.got == b.want {
 				continue
 			}
-			if !qClose(binEnergy(b.sum, b.got), binEnergy(b.sum, b.want)) {
+			if !qClose(binEnergy(b.sum, b.got), binEnergy(b.sum, b.want), qRelBound) {
 				t.Fatalf("hypothesis %d (start %v, cfo %v, dt %v, df %v): %+v, oracle %+v", i, s, c, dt, df, got, want)
 			}
 			ties++
@@ -402,8 +520,9 @@ func TestFractionalSearchResolvesIntegerCFOAlias(t *testing.T) {
 
 // FuzzQSearchMatchesOracle drives fractionalSearch and its oracle over
 // random configurations under checkSearch's contract: SF 7–9, OSF 1/2/4/8,
-// one or two antennas, starts near the packet (fractional), before sample 0
-// and overhanging the end of the trace, and any CFO within ±4 cycles.
+// one or two antennas, starts near the packet (fractional, or on the
+// half-sample grid as refine passes them), before sample 0 and overhanging
+// the end of the trace, and any CFO within ±4 cycles.
 func FuzzQSearchMatchesOracle(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), int64(1), uint8(0), 0.37, 0.2)
 	f.Add(uint8(1), uint8(3), uint8(1), int64(2), uint8(0), -3.75, -1.0)
@@ -411,6 +530,8 @@ func FuzzQSearchMatchesOracle(f *testing.F) {
 	f.Add(uint8(0), uint8(2), uint8(0), int64(4), uint8(2), 5.0, 3.1)
 	f.Add(uint8(1), uint8(0), uint8(1), int64(5), uint8(2), 100.5, -2.0)
 	f.Add(uint8(2), uint8(3), uint8(0), int64(6), uint8(1), 7.0, 0.0)
+	f.Add(uint8(1), uint8(0), uint8(0), int64(7), uint8(3), -3.3, 0.6)
+	f.Add(uint8(0), uint8(3), uint8(1), int64(1), uint8(3), 1.6, -0.3)
 	f.Fuzz(func(t *testing.T, sfSel, osfSel, antSel uint8, seed int64, where uint8, off, cfoOff float64) {
 		if math.IsNaN(off) || math.IsInf(off, 0) || math.IsNaN(cfoOff) || math.IsInf(cfoOff, 0) {
 			t.Skip("non-finite offset")
@@ -418,17 +539,19 @@ func FuzzQSearchMatchesOracle(f *testing.F) {
 		p := lora.MustParams(7+int(sfSel%3), 4, 125e3, []int{1, 2, 4, 8}[osfSel%4])
 		ants, start, cfo := diffTrace(t, p, seed%8)
 		sym := float64(p.SymbolSamples())
-		switch where % 3 {
+		switch where % 4 {
 		case 0: // near the packet, within half a symbol
 			start += math.Mod(off, sym/2)
 		case 1: // the first rows before sample 0
 			start = -math.Mod(math.Abs(off), 11*sym)
 		case 2: // the last rows past the end of the trace
 			start = float64(len(ants[0])) - 12*sym + math.Mod(math.Abs(off), 11*sym)
+		case 3: // near the packet on the half-sample grid, as refine passes it
+			start = math.Round(2*(start+math.Mod(off, sym/2))) / 2
 		}
 		cfo += math.Mod(cfoOff, 4)
 		d := NewDetector(p)
-		if _, err := d.checkSearch(ants[:1+antSel%2], start, cfo, d.newRefineScratch()); err != nil {
+		if _, _, err := d.checkSearch(ants[:1+antSel%2], start, cfo, d.newRefineScratch()); err != nil {
 			t.Fatalf("SF%d OSF%d start %v cfo %v: %v", p.SF, p.OSF, start, cfo, err)
 		}
 	})

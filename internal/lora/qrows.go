@@ -82,6 +82,16 @@ func (d *Demodulator) DechirpPreamble(pr *PreambleRows, antennas [][]complex128,
 	pr.rows = rows
 }
 
+// PreambleRowsInside reports whether DechirpPreamble at every integer start
+// in [lo, hi] keeps all its rows and reads only samples inside [0, n−1]:
+// the starts at or after sample 0, and the last row, the second full
+// downchirp, ending at or before sample n−1.
+func (d *Demodulator) PreambleRowsInside(lo, hi, n int) bool {
+	sym := d.p.SymbolSamples()
+	last := hi + qSymbols[len(qSymbols)-1]*sym + (d.p.N()-1)*d.p.OSF
+	return lo >= 0 && last < n
+}
+
 // BuildPreambleRotation fills r with the CFO correction for cfoCycles: the
 // phasor e^{i·phase0ₖ} of each symbol of qSymbols and the ramp
 // e^{i·j·dphase} that DechirpInto's Rotator multiplies it by.

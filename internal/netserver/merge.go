@@ -369,10 +369,10 @@ func (s *Server) executeJoin(e *pendEntry, sc *lorawan.Scratch) Event {
 		delete(s.sessions, dev.sess.devAddr) // rejoin replaces the session
 	}
 	s.joinCount++
-	addr := lorawan.DevAddr(s.cfg.DevAddrBase | (s.joinCount & 0x00FFFFFF))
+	addr := lorawan.DevAddr(DevAddrBase | (s.joinCount & 0x00FFFFFF))
 	appNonce := s.joinCount & 0x00FFFFFF
 
-	nwk, app := lorawan.DeriveSessionKeysScratch(dev.appKC, sc, appNonce, s.cfg.NetID, e.devNonce)
+	nwk, app := lorawan.DeriveSessionKeysScratch(dev.appKC, sc, appNonce, NetID, e.devNonce)
 	nwkKC, _ := lorawan.NewKeyCipher(nwk[:]) // 16 bytes by construction
 	appKC, _ := lorawan.NewKeyCipher(app[:])
 	sess := &session{
@@ -387,7 +387,7 @@ func (s *Server) executeJoin(e *pendEntry, sc *lorawan.Scratch) Event {
 	s.met.onJoin()
 	s.chStat(e.channel, e.sf).Delivered++
 
-	accept := &lorawan.JoinAcceptFrame{AppNonce: appNonce, NetID: s.cfg.NetID, DevAddr: addr, RxDelay: 1}
+	accept := &lorawan.JoinAcceptFrame{AppNonce: appNonce, NetID: NetID, DevAddr: addr, RxDelay: 1}
 	wire, err := accept.MarshalScratch(dev.appKC, sc)
 	if err != nil {
 		wire = nil

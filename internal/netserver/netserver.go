@@ -79,22 +79,22 @@ type Quota struct {
 	Burst      float64 // bucket depth (0 with a rate selects 1)
 }
 
+const (
+	// NetID is the 24-bit network identifier placed in join accepts.
+	NetID = 0x000013
+	// DevAddrBase is OR'd with the join counter to form assigned device
+	// addresses.
+	DevAddrBase = 0x26000000
+)
+
 // Defaults for Config zero values.
 const (
-	DefaultNetID          = 0x000013
-	DefaultDevAddrBase    = 0x26000000
 	DefaultDedupWindowSec = 0.2
 	DefaultShards         = 8
 )
 
 // Config tunes a Server.
 type Config struct {
-	// NetID is the 24-bit network identifier placed in join accepts.
-	// 0 selects DefaultNetID.
-	NetID uint32
-	// DevAddrBase is OR'd with the join counter to form assigned device
-	// addresses. 0 selects DefaultDevAddrBase.
-	DevAddrBase uint32
 	// DedupWindowSec is how long after the first copy of a frame the
 	// netserver waits for more gateway copies before delivering. 0 selects
 	// DefaultDedupWindowSec; negative delivers immediately.
@@ -272,12 +272,6 @@ type Server struct {
 
 // New builds a Server from cfg. Devices with short keys are rejected.
 func New(cfg Config) (*Server, error) {
-	if cfg.NetID == 0 {
-		cfg.NetID = DefaultNetID
-	}
-	if cfg.DevAddrBase == 0 {
-		cfg.DevAddrBase = DefaultDevAddrBase
-	}
 	window := cfg.DedupWindowSec
 	if window == 0 {
 		window = DefaultDedupWindowSec

@@ -356,8 +356,8 @@ func buildMixedBatch(t testing.TB, devs []Device) []Uplink {
 	// these land in one batch). Keys are deterministic: join i is the
 	// (i+1)-th join, so AppNonce = DevAddr counter = i+1.
 	for i, d := range devs {
-		addr := lorawan.DevAddr(DefaultDevAddrBase | uint32(i+1))
-		nwk, app, err := lorawan.DeriveSessionKeys(d.AppKey, uint32(i+1), DefaultNetID, uint16(100+i))
+		addr := lorawan.DevAddr(DevAddrBase | uint32(i+1))
+		nwk, app, err := lorawan.DeriveSessionKeys(d.AppKey, uint32(i+1), NetID, uint16(100+i))
 		if err != nil {
 			t.Fatal(err)
 		}

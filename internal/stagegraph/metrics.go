@@ -28,6 +28,7 @@ type PipelineMetrics struct {
 	DecodeFailed     *metrics.Counter // assigned packets that failed header/CRC
 	RescuedCodewords *metrics.Counter // codewords fixed by BEC beyond Hamming
 	Windows          *metrics.Counter // DecodeSamples invocations
+	QSearchFallbacks *metrics.Counter // §7 searches that swept δt without anchor interpolation
 
 	// Worker-pool health: the configured pool width, and per-stage speedup
 	// (busy/wall, 1000 = serial) plus pool utilization (busy/(wall·workers),
@@ -61,6 +62,7 @@ func NewPipelineMetrics(reg *metrics.Registry) *PipelineMetrics {
 		DecodeFailed:        reg.Counter("tnb_packets_decode_failed_total"),
 		RescuedCodewords:    reg.Counter("tnb_bec_rescued_codewords_total"),
 		Windows:             reg.Counter("tnb_receiver_windows_total"),
+		QSearchFallbacks:    reg.Counter("tnb_detect_qsearch_fallback_total"),
 
 		PoolWorkers:        reg.Gauge("tnb_parallel_workers"),
 		ScanSpeedup:        reg.Gauge(`tnb_parallel_speedup_permille{stage="scan"}`),
@@ -157,7 +159,8 @@ func (m *PipelineMetrics) onPoolWorkers(n int) {
 }
 
 // The onStageParallel methods record one fan-out's speedup and utilization;
-// the two detection fan-outs also record their wall time as a stage latency.
+// the two detection fan-outs also record their wall time as a stage latency,
+// and the refinement its Q-search fallbacks.
 
 func (m *PipelineMetrics) onScanParallel(st parallel.Stats) {
 	if m != nil {
@@ -167,9 +170,10 @@ func (m *PipelineMetrics) onScanParallel(st parallel.Stats) {
 	}
 }
 
-func (m *PipelineMetrics) onRefineParallel(st parallel.Stats) {
+func (m *PipelineMetrics) onRefineParallel(st parallel.Stats, qFallbacks int) {
 	if m != nil {
 		m.DetectRefineSeconds.Observe(st.Wall.Seconds())
+		m.QSearchFallbacks.Add(uint64(qFallbacks))
 		m.RefineSpeedup.Set(st.SpeedupPermille())
 		m.RefineUtilization.Set(st.UtilizationPermille())
 	}

@@ -231,7 +231,7 @@ func (DetectStage) Run(p *Pipeline, w *Window) {
 	w.Pkts = p.detector.Detect(w.Antennas)
 	p.met.observeDetect(t0)
 	p.met.onScanParallel(p.detector.ScanStats)
-	p.met.onRefineParallel(p.detector.RefineStats)
+	p.met.onRefineParallel(p.detector.RefineStats, p.detector.QSearchFallbacks)
 	p.met.onDetected(len(w.Pkts))
 	if len(w.Pkts) > 0 {
 		w.TraceLen = len(w.Antennas[0])

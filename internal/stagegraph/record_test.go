@@ -8,6 +8,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"tnb/internal/lora"
+	"tnb/internal/thrive"
 )
 
 // TestRecordingRoundtrip records a collision decode, parses the recording
@@ -217,5 +220,25 @@ func TestReplayUnknownStage(t *testing.T) {
 	}
 	if _, err := rec.Replay(ReplayOptions{Pass: 2, Stage: StageDetect}); err == nil {
 		t.Fatal("pass-2 detect replay should fail")
+	}
+}
+
+// TestRecHeaderConfigRoundtrip checks that every replay-relevant setting
+// survives Config → header → JSON → header → Config, LDRO included.
+func TestRecHeaderConfigRoundtrip(t *testing.T) {
+	p := lora.MustParams(11, 2, 125e3, 1)
+	p.LDRO = true
+	cfg := Config{Params: p, Policy: thrive.PolicySibling, UseBEC: true, DisableSecondPass: true,
+		W: 3, MaxPayloadLen: 20, Omega: 0.3, ListDecode: true, Seed: 9}
+	raw, err := json.Marshal(headerFromConfig(&cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h RecHeader
+	if err := json.Unmarshal(raw, &h); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Config(); !reflect.DeepEqual(got, cfg) {
+		t.Errorf("config after the round trip\n%+v\nwant\n%+v", got, cfg)
 	}
 }

@@ -98,8 +98,10 @@ func headerFromConfig(cfg *Config) RecHeader {
 // Workers is left zero — replay chooses its own width, which must not (and,
 // per the determinism tests, does not) change any boundary.
 func (h *RecHeader) Config() Config {
+	p := lora.MustParams(h.SF, h.CR, h.Bandwidth, h.OSF)
+	p.LDRO = h.LDRO
 	return Config{
-		Params:            lora.MustParams(h.SF, h.CR, h.Bandwidth, h.OSF),
+		Params:            p,
 		Policy:            thrive.Policy(h.Policy),
 		UseBEC:            h.UseBEC,
 		DisableSecondPass: h.DisableSecondPass,

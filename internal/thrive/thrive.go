@@ -315,7 +315,7 @@ func (e *Engine) maskKnownInto(target *symbol, src *PacketState, symSamples, n i
 		if !ok {
 			continue
 		}
-		pos := math.Mod(float64(bin)+target.pkt.Calc.Alpha()-src.Calc.Alpha(), float64(n))
+		pos := modBins(float64(bin)+target.pkt.Calc.Alpha()-src.Calc.Alpha(), n)
 		peaks.MaskPeak(target.y, pos)
 		if j >= 0 {
 			// Data-symbol masks come from decoded colliders (second-pass
@@ -365,7 +365,7 @@ func knownBin(ps *PacketState, j int) (int, bool) {
 // other symbol os: a located peak within ±1 bin of the expected position,
 // or the raw signal-vector value there (paper §5.3.3).
 func siblingHeight(s *symbol, bin float64, os *symbol, n int) float64 {
-	pos := math.Mod(bin+os.pkt.Calc.Alpha()-s.pkt.Calc.Alpha(), float64(n))
+	pos := modBins(bin+os.pkt.Calc.Alpha()-s.pkt.Calc.Alpha(), n)
 	if pos < 0 {
 		pos += float64(n)
 	}
@@ -404,7 +404,7 @@ func (e *Engine) siblingCost(s *symbol, pk peaks.Peak, syms []*symbol, n int) fl
 			if !os.pkt.Calc.InRange(j) {
 				continue
 			}
-			pos := math.Mod(float64(pk.Bin)+os.pkt.Calc.Alpha()-s.pkt.Calc.Alpha(), float64(n))
+			pos := modBins(float64(pk.Bin)+os.pkt.Calc.Alpha()-s.pkt.Calc.Alpha(), n)
 			if h := os.pkt.Calc.ValueAt(j, pos); h > hStar {
 				hStar = h
 			}
@@ -556,7 +556,7 @@ func (e *Engine) assignBest(sel *symbol, syms []*symbol, n int) {
 		if !os.alive || os == sel {
 			continue
 		}
-		pos := math.Mod(float64(pk.Bin)+os.pkt.Calc.Alpha()-sel.pkt.Calc.Alpha(), float64(n))
+		pos := modBins(float64(pk.Bin)+os.pkt.Calc.Alpha()-sel.pkt.Calc.Alpha(), n)
 		if pos < 0 {
 			pos += float64(n)
 		}
@@ -636,8 +636,24 @@ func (e *Engine) assignAlignTrack(syms []*symbol, n int) {
 	}
 }
 
+// modBins is math.Mod(x, n). Mod returns x itself when |x| < n, the usual
+// case for a bin shifted by an offset difference, so the call is skipped
+// there; the result is bit-identical, ±0 and NaN included.
+func modBins(x float64, n int) float64 {
+	if fn := float64(n); -fn < x && x < fn {
+		return x
+	}
+	return math.Mod(x, float64(n))
+}
+
+// circDist is the distance between bins a and b on a circle of n bins.
+// |Mod(x, n)| = Mod(|x|, n), and Mod is the identity below n, so it runs
+// only from n up.
 func circDist(a, b float64, n int) float64 {
-	d := math.Abs(math.Mod(a-b, float64(n)))
+	d := math.Abs(a - b)
+	if d >= float64(n) {
+		d = math.Mod(d, float64(n))
+	}
 	if d > float64(n)/2 {
 		d = float64(n) - d
 	}

@@ -276,3 +276,40 @@ func BenchmarkTwoPacketAssignment(b *testing.B) {
 		e.Run(states, tr.Len())
 	}
 }
+
+// TestModGuardsMatchMathMod checks modBins and circDist bit for bit against
+// the unguarded math.Mod forms they replace, at ±n, ±0, the floats next to
+// ±n, non-finite values and random bins and offsets.
+func TestModGuardsMatchMathMod(t *testing.T) {
+	oldCircDist := func(a, b float64, n int) float64 {
+		d := math.Abs(math.Mod(a-b, float64(n)))
+		if d > float64(n)/2 {
+			d = float64(n) - d
+		}
+		return d
+	}
+	same := func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{64, 128, 256, 4096} {
+		fn := float64(n)
+		xs := []float64{0, math.Copysign(0, -1), fn, -fn, 2 * fn, -2 * fn, fn / 2, -fn / 2,
+			math.Nextafter(fn, 0), math.Nextafter(fn, math.Inf(1)),
+			math.Nextafter(-fn, 0), math.Nextafter(-fn, math.Inf(-1)),
+			math.Inf(1), math.Inf(-1), math.NaN(), 1e-300, -1e-300}
+		for i := 0; i < 2000; i++ {
+			xs = append(xs, float64(rng.Intn(n))+(rng.Float64()-0.5)*4*fn)
+		}
+		for _, x := range xs {
+			if got, want := modBins(x, n), math.Mod(x, fn); !same(got, want) {
+				t.Errorf("modBins(%v, %d) = %v, math.Mod gives %v", x, n, got, want)
+			}
+			for _, b := range []float64{0, math.Copysign(0, -1), fn, -fn, x, float64(rng.Intn(n)) + rng.Float64()} {
+				if got, want := circDist(x, b, n), oldCircDist(x, b, n); !same(got, want) {
+					t.Errorf("circDist(%v, %v, %d) = %v, unguarded form gives %v", x, b, n, got, want)
+				}
+			}
+		}
+	}
+}
