@@ -37,10 +37,10 @@ func TestDebugSyncSurface(t *testing.T) {
 	cfo := cfoHz * p.SymbolDuration()
 	for _, df := range []float64{-1, -0.5, 0, 0.28, 0.5, 1} {
 		r := d.evalQ(tr.Antennas, start, cfo, 0, df, d.newRefineScratch())
-		t.Logf("df=%+.2f: E=%.3e up=%d down=%d qstar=%.3e", df, r.energy, r.upBin, r.downBin, d.qStar(r))
+		t.Logf("df=%+.2f: E=%.3e up=%d down=%d qstar=%.3e", df, r.energy, r.upBin, r.downBin, qStar(r, 0))
 	}
 	for _, dt := range []float64{-8, -4, 0, 4, 8} {
 		r := d.evalQ(tr.Antennas, start, cfo, dt, 0, d.newRefineScratch())
-		t.Logf("dt=%+.1f: E=%.3e up=%d down=%d qstar=%.3e", dt, r.energy, r.upBin, r.downBin, d.qStar(r))
+		t.Logf("dt=%+.1f: E=%.3e up=%d down=%d qstar=%.3e", dt, r.energy, r.upBin, r.downBin, qStar(r, 0))
 	}
 }

@@ -106,8 +106,9 @@ type candidate struct {
 
 // refineScratch is one worker's reusable buffers for steps 2–4: the
 // accumulators refine and validatePreamble used to allocate per window and
-// per hypothesis, the rows, rotations, coherent sums and results of the Q
-// search, and the median scratch of peakNearZero.
+// per hypothesis, the validation window verdicts of the current candidate,
+// the rows, rotation, coherent sums and results of the Q search, and the
+// median scratch of peakNearZero.
 type refineScratch struct {
 	acc     []float64    // summed signal vector (validate + down location)
 	y       []float64    // per-antenna magnitude vector
@@ -116,12 +117,27 @@ type refineScratch struct {
 	downSum []complex128 // coherent downchirp sum (Q)
 	med     []float64    // MedianScratch working space, 2n for the distribute path
 
-	rows      lora.PreambleRows        // dechirped rows of the current Q-search start
-	rot       [3]lora.PreambleRotation // CFO rotations of the phase-2 lines
-	qres      []qResult                // phase-2 results, line-major
-	anchors   anchorStore              // anchor spectra of the δt sweep
-	fallbacks int                      // searches without anchors since Detect began
+	// upWin[j+2] and downWin[j−8] are the verdicts of the windows at
+	// start + j·sym that the ±2T adjustments read.
+	upWin   [lora.PreambleUpchirps + 4]window
+	downWin [5]window
+
+	rows      lora.PreambleRows     // dechirped rows of the current Q-search start
+	rot       lora.PreambleRotation // the CFO rotation in use
+	qres      []qResult             // phase-2 results on the first line
+	anchors   anchorStore           // anchor spectra of the δt sweep
+	fallbacks int                   // searches without anchors since Detect began
 }
+
+// window is the validation verdict of one symbol window.
+type window uint8
+
+const (
+	winUnknown window = iota // not computed yet
+	winOutside               // starts before sample 0 or ends past the trace
+	winPeak                  // peakNearZero holds
+	winNoPeak                // inside, without a peak near bin 0
+)
 
 func (d *Detector) newRefineScratch() *refineScratch {
 	n := d.p.N()
@@ -409,48 +425,11 @@ func (d *Detector) trackRuns(winPeaks [][]peaks.Peak, n int) []candidate {
 // only the read-shared trace and its own scratch, so candidates refine
 // concurrently.
 func (d *Detector) refine(antennas [][]complex128, c candidate, rs *refineScratch) (Packet, string) {
-	n := d.p.N()
 	sym := d.p.SymbolSamples()
-	acc := rs.acc
-
-	// Locate the downchirp: windows shortly after the run completion
-	// should contain the 2.25 downchirps (the run completes minRun
-	// windows into the 8 upchirps, so the downchirps start 3–7 windows
-	// later). Pick the window/bin with maximum down-dechirped energy.
-	bestE, bestBin, bestWin := 0.0, 0, -1
-	for g := c.window + 1; g <= c.window+8; g++ {
-		start := float64(g * sym)
-		if int(start)+sym >= len(antennas[0]) {
-			break
-		}
-		d.demod.SumSignalVectorInto(acc, rs.y, rs.buf, antennas, start, 0, 0, true)
-		bi := peaks.HighestBin(acc)
-		if acc[bi] > bestE {
-			bestE, bestBin, bestWin = acc[bi], bi, g
-		}
+	start, cfo, reject := d.coarse(antennas, c, rs)
+	if reject != "" {
+		return Packet{}, reject
 	}
-	if bestWin < 0 {
-		return Packet{}, "no_downchirp"
-	}
-
-	// Step 3: coarse timing and CFO from x1 (up peak) and x2 (down peak):
-	// x1 = δ + c, x2 = c − δ (mod N), with δ the window offset in chips
-	// and c the CFO in cycles/symbol. The N/2 ambiguity is resolved by
-	// the CFO bound.
-	x1, x2 := float64(c.bin), float64(bestBin)
-	cfo := math.Mod((x1+x2)/2, float64(n))
-	delta := math.Mod((x1-x2)/2, float64(n))
-	cfo, delta = d.resolveAmbiguity(cfo, delta)
-	if math.Abs(cfo) > d.maxCFOCycles+2 {
-		return Packet{}, "cfo_out_of_bounds"
-	}
-
-	// Anchor: the max-energy down window overlaps the downchirp section,
-	// which starts 10 symbols after the preamble start.
-	if delta < 0 {
-		delta += float64(n)
-	}
-	start := float64(bestWin*sym) - delta*float64(d.p.OSF) - float64(10*sym)
 
 	// Step 2: test adjustments of -2T..2T; every adjustment that passes
 	// preamble validation is refined by the step-4 fractional search, and
@@ -458,6 +437,7 @@ func (d *Detector) refine(antennas [][]complex128, c candidate, rs *refineScratc
 	// Q* rather than the raw validation score disambiguates aliases under
 	// collisions, where a foreign packet can inflate the validation
 	// energy of a misaligned hypothesis.
+	rs.upWin, rs.downWin = [len(rs.upWin)]window{}, [len(rs.downWin)]window{}
 	var best Packet
 	found := false
 	for adj := -2; adj <= 2; adj++ {
@@ -465,7 +445,7 @@ func (d *Detector) refine(antennas [][]complex128, c candidate, rs *refineScratc
 		if s < -float64(sym) {
 			continue
 		}
-		if _, ok := d.validatePreamble(antennas, s, cfo, rs); !ok {
+		if !d.validatePreamble(antennas, start, cfo, adj, rs) {
 			continue
 		}
 		ft, fc, q := d.fractionalSearch(antennas, s, cfo, rs)
@@ -478,6 +458,54 @@ func (d *Detector) refine(antennas [][]complex128, c candidate, rs *refineScratc
 		return Packet{}, "no_valid_start"
 	}
 	return best, ""
+}
+
+// coarse is step 3 for one candidate: it locates the downchirp and returns
+// the coarse start (rx samples) and CFO (cycles per symbol), or a reject
+// reason.
+func (d *Detector) coarse(antennas [][]complex128, c candidate, rs *refineScratch) (start, cfo float64, reject string) {
+	n := d.p.N()
+	sym := d.p.SymbolSamples()
+	acc := rs.acc
+
+	// Locate the downchirp: windows shortly after the run completion
+	// should contain the 2.25 downchirps (the run completes minRun
+	// windows into the 8 upchirps, so the downchirps start 3–7 windows
+	// later). Pick the window/bin with maximum down-dechirped energy.
+	bestE, bestBin, bestWin := 0.0, 0, -1
+	for g := c.window + 1; g <= c.window+8; g++ {
+		s := float64(g * sym)
+		if int(s)+sym >= len(antennas[0]) {
+			break
+		}
+		d.demod.SumSignalVectorInto(acc, rs.y, rs.buf, antennas, s, 0, 0, true)
+		bi := peaks.HighestBin(acc)
+		if acc[bi] > bestE {
+			bestE, bestBin, bestWin = acc[bi], bi, g
+		}
+	}
+	if bestWin < 0 {
+		return 0, 0, "no_downchirp"
+	}
+
+	// Step 3: coarse timing and CFO from x1 (up peak) and x2 (down peak):
+	// x1 = δ + c, x2 = c − δ (mod N), with δ the window offset in chips
+	// and c the CFO in cycles/symbol. The N/2 ambiguity is resolved by
+	// the CFO bound.
+	x1, x2 := float64(c.bin), float64(bestBin)
+	cfo = math.Mod((x1+x2)/2, float64(n))
+	delta := math.Mod((x1-x2)/2, float64(n))
+	cfo, delta = d.resolveAmbiguity(cfo, delta)
+	if math.Abs(cfo) > d.maxCFOCycles+2 {
+		return 0, 0, "cfo_out_of_bounds"
+	}
+
+	// Anchor: the max-energy down window overlaps the downchirp section,
+	// which starts 10 symbols after the preamble start.
+	if delta < 0 {
+		delta += float64(n)
+	}
+	return float64(bestWin*sym) - delta*float64(d.p.OSF) - float64(10*sym), cfo, ""
 }
 
 // resolveAmbiguity maps (cfo, delta) into the canonical range: cfo into
@@ -503,47 +531,79 @@ func (d *Detector) resolveAmbiguity(cfo, delta float64) (float64, float64) {
 	return cfo, math.Mod(delta, n)
 }
 
-// validatePreamble checks that a hypothesized start time produces upchirp
+// validatePreamble checks that the start start + adj·sym produces upchirp
 // peaks at the expected location in most preamble symbols and a downchirp
-// peak at the matching location, returning the total peak energy.
-func (d *Detector) validatePreamble(antennas [][]complex128, start, cfo float64, rs *refineScratch) (float64, bool) {
-	sym := d.p.SymbolSamples()
-	acc := rs.acc
+// peak at the matching location. The five adjustments read 17 distinct
+// windows, so each window's verdict is computed once per candidate (see
+// windowPeak).
+func (d *Detector) validatePreamble(antennas [][]complex128, start, cfo float64, adj int, rs *refineScratch) bool {
 	hits, total := 0, 0
-	var energy float64
 	for k := 0; k < lora.PreambleUpchirps; k++ {
-		s := start + float64(k*sym)
-		if s < 0 || int(s)+sym >= len(antennas[0]) {
+		switch d.windowPeak(antennas, start, cfo, adj+k, false, rs) {
+		case winOutside:
 			continue
+		case winPeak:
+			hits++
 		}
 		total++
-		d.demod.SumSignalVectorInto(acc, rs.y, rs.buf, antennas, s, cfo, k, false)
-		if e, ok := peakNearZero(acc, rs.med); ok {
-			hits++
-			energy += e
+		if total-hits > 2 {
+			return false
 		}
 	}
-	if total < 4 || hits < total-2 {
-		return 0, false
+	if total < 4 {
+		return false
 	}
 	// Downchirp check at start + 10T.
-	s := start + float64(10*sym)
-	if int(s)+sym < len(antennas[0]) && s >= 0 {
-		d.demod.SumSignalVectorInto(acc, rs.y, rs.buf, antennas, s, cfo, 10, true)
-		e, ok := peakNearZero(acc, rs.med)
-		if !ok {
-			return 0, false
-		}
-		energy += e
-	}
-	return energy, true
+	return d.windowPeak(antennas, start, cfo, adj+10, true, rs) != winNoPeak
 }
 
-// peakNearZero checks for a substantial peak within ±2 bins of bin 0. A
-// stronger collider may own the global maximum of a preamble window, so the
-// test is local: the neighborhood value must stand well above the noise
-// floor (median bin, read without copying via the caller's scratch).
-func peakNearZero(acc, med []float64) (float64, bool) {
+// windowPeak returns the verdict of the up (or down) window at start + j·sym,
+// computing it on first use. A window's signal vector does not depend on
+// the symbol index its CFO correction starts from, which only rotates the
+// window by a constant phase, so the window is dechirped from index j
+// whatever adjustment reads it.
+func (d *Detector) windowPeak(antennas [][]complex128, start, cfo float64, j int, down bool, rs *refineScratch) window {
+	var v *window
+	if down {
+		v = &rs.downWin[j-8]
+	} else {
+		v = &rs.upWin[j+2]
+	}
+	if *v != winUnknown {
+		return *v
+	}
+	sym := d.p.SymbolSamples()
+	s := start + float64(j*sym)
+	*v = winOutside
+	if s >= 0 && int(s)+sym < len(antennas[0]) {
+		d.demod.SumSignalVectorInto(rs.acc, rs.y, rs.buf, antennas, s, cfo, j, down)
+		*v = winNoPeak
+		if peakNearZero(rs.acc, rs.med) {
+			*v = winPeak
+		}
+	}
+	return *v
+}
+
+// countMinPeak is the smallest peak whose test against the median
+// peakNearZero answers by counting: from it up, halving a middle order
+// statistic is exact wherever the verdict depends on it.
+const countMinPeak = 0x1p-1000
+
+// peakNearZero checks for a substantial peak within ±2 bins of bin 0: the
+// largest of those bins, best, must be positive and at least 8× the noise
+// floor, the median bin. A stronger collider may own the global maximum of
+// a preamble window, so the test is local.
+//
+// The test needs only the median's side of best/8, so it counts the values
+// v with 8v ≤ best instead of selecting. With the middle order statistics
+// a ≤ b, both on one side decide it; when the count falls between them, a
+// and b are the largest value on the low side and the smallest on the high
+// side, and the median is formed from them exactly as stats.MedianScratch
+// forms it. A non-finite value, or a peak too small or infinite for the
+// count to be exact, takes the median itself, read through the caller's
+// scratch.
+func peakNearZero(acc, med []float64) bool {
 	n := len(acc)
 	best := 0.0
 	for db := -2; db <= 2; db++ {
@@ -551,11 +611,40 @@ func peakNearZero(acc, med []float64) (float64, bool) {
 			best = v
 		}
 	}
-	floor := stats.MedianScratch(acc, med)
-	if floor <= 0 {
-		return best, best > 0
+	if best == 0 {
+		return false
 	}
-	return best, best >= 8*floor
+	low, nf := 0, 0.0
+	if best >= countMinPeak && best <= math.MaxFloat64 {
+		for _, v := range acc {
+			if 8*v <= best {
+				low++
+			}
+			nf += v - v // NaN from the first NaN or ±Inf on
+		}
+	}
+	mid := (n - 1) / 2
+	switch {
+	case nf != 0 || best < countMinPeak || best > math.MaxFloat64:
+		return 8*stats.MedianScratch(acc, med) <= best
+	case low > mid+1:
+		return true
+	case low <= mid:
+		return false
+	}
+	a, b := math.Inf(-1), math.Inf(1)
+	for _, v := range acc {
+		if 8*v <= best {
+			a = math.Max(a, v)
+		} else {
+			b = math.Min(b, v)
+		}
+	}
+	if mid+1 >= n {
+		return 8*a <= best
+	}
+	frac := 0.5 * float64((n-1)%2)
+	return 8*(a*(1-frac)+b*frac) <= best
 }
 
 func dedup(pkts []Packet, tol float64) []Packet {

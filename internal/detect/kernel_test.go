@@ -110,7 +110,7 @@ func BenchmarkScanPreambles(b *testing.B) {
 // build the CFO's rotation, sum and transform — at a detection-like
 // fractional start with a nonzero CFO hypothesis. It is the cost of one
 // hypothesis with nothing shared; BenchmarkFractionalSearch measures the
-// search that shares rows and rotations across its 64 hypotheses.
+// search that shares rows, sums and spectra across all its hypotheses.
 func BenchmarkEvalQ(b *testing.B) {
 	p := lora.MustParams(8, 4, 125e3, 8)
 	tr := buildScanTrace(b, p, 7)
@@ -126,8 +126,8 @@ func BenchmarkEvalQ(b *testing.B) {
 	}
 }
 
-// BenchmarkFractionalSearch measures one full 3-phase §7 search (17 + 38 + 9
-// hypotheses) from the same start and CFO as BenchmarkEvalQ.
+// BenchmarkFractionalSearch measures one full 3-phase §7 search (16 + 19 per
+// line + 9 hypotheses) from the same start and CFO as BenchmarkEvalQ.
 func BenchmarkFractionalSearch(b *testing.B) {
 	p := lora.MustParams(8, 4, 125e3, 8)
 	tr := buildScanTrace(b, p, 7)
@@ -138,6 +138,30 @@ func BenchmarkFractionalSearch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, q := d.fractionalSearch(tr.Antennas, 20000.37, -1.8, rs); q < 0 {
 			b.Fatal("no energy")
+		}
+	}
+}
+
+// BenchmarkRefine measures steps 2–4 for every candidate the scan finds on
+// the colliding trace: the ±2T validation windows and the fractional search
+// of each adjustment that passes.
+func BenchmarkRefine(b *testing.B) {
+	p := lora.MustParams(8, 4, 125e3, 8)
+	tr := buildScanTrace(b, p, 7)
+	d := NewDetector(p)
+	cands := append([]candidate(nil), d.scanPreambles(tr.Antennas)...)
+	rs := d.newRefineScratch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		accepted := 0
+		for _, c := range cands {
+			if _, reject := d.refine(tr.Antennas, c, rs); reject == "" {
+				accepted++
+			}
+		}
+		if accepted == 0 {
+			b.Fatal("no candidate refined")
 		}
 	}
 }

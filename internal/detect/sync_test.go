@@ -62,10 +62,10 @@ func TestQIntegerCFOAliasHasEqualEnergyButShiftedPeaks(t *testing.T) {
 	if alias.upBin == 0 && alias.downBin == 0 {
 		t.Error("alias peaks also at bin 0; Q* could not disambiguate")
 	}
-	if d.qStar(center) == 0 {
+	if qStar(center, 0) == 0 {
 		t.Error("Q* zero at the true parameters")
 	}
-	if d.qStar(alias) != 0 {
+	if qStar(alias, 0) != 0 {
 		t.Error("Q* nonzero at the alias")
 	}
 }
@@ -84,7 +84,7 @@ func TestQTimingCFOTradeoffBreaksOnDownchirps(t *testing.T) {
 	if r.downBin == 0 {
 		t.Error("down peak at 0 despite the timing/CFO tradeoff")
 	}
-	if d.qStar(r) != 0 {
+	if qStar(r, 0) != 0 {
 		t.Error("Q* accepted the traded-off hypothesis")
 	}
 }
@@ -162,9 +162,9 @@ func (d *Detector) evalQOracle(antennas [][]complex128, start, cfo, dt, df float
 // fractionalSearchOracle is the 3-phase search as one evalQOracle call per
 // hypothesis, in the order fractionalSearch must compare them.
 func (d *Detector) fractionalSearchOracle(antennas [][]complex128, start, cfo float64, rs *refineScratch) (dt, df, q float64) {
-	// Phase 1: δt = 0, δf from −1 to 0 in steps of 1/16; maximize Q.
+	// Phase 1: δt = 0, δf from −1 to −1/16 in steps of 1/16; maximize Q.
 	bestF, bestQ := 0.0, -1.0
-	for i := 0; i <= 16; i++ {
+	for i := 0; i < 16; i++ {
 		f := -1 + float64(i)/16
 		r := d.evalQOracle(antennas, start, cfo, 0, f, rs)
 		if r.energy > bestQ {
@@ -173,12 +173,12 @@ func (d *Detector) fractionalSearchOracle(antennas [][]complex128, start, cfo fl
 	}
 
 	// Phase 2: δt swept at half-sample steps on the lines δf* and δf*+1,
-	// or on all of −1, 0 and 1 when δf* is an endpoint of phase 1's range
-	// (Q(−1) = Q(0), so rounding alone picked it); maximize Q*.
+	// or on all of −1, 0 and 1 when δf* = −1 (Q(−1) = Q(0), so δf = −1
+	// stands for both); maximize Q*.
 	halfChip := float64(d.p.OSF) / 2
 	bestT, bestF2, bestQS := 0.0, bestF, -1.0
 	lines := []float64{bestF, bestF + 1}
-	if bestF == -1 || bestF == 0 {
+	if bestF == -1 {
 		lines = []float64{-1, 0, 1}
 	}
 	for _, f := range lines {
@@ -186,13 +186,10 @@ func (d *Detector) fractionalSearchOracle(antennas [][]complex128, start, cfo fl
 		for i := 0; i < steps; i++ {
 			t := -halfChip - 0.5 + float64(i)/2
 			r := d.evalQOracle(antennas, start, cfo, t, f, rs)
-			if qs := d.qStar(r); qs > bestQS {
+			if qs := qStar(r, 0); qs > bestQS {
 				bestQS, bestT, bestF2 = qs, t, f
 			}
 		}
-	}
-	if bestQS < 0 {
-		return 0, bestF, bestQ
 	}
 
 	// Phase 3: δt from bestT−1/2 to bestT+1/2 in steps of 1/U.
@@ -201,12 +198,9 @@ func (d *Detector) fractionalSearchOracle(antennas [][]complex128, start, cfo fl
 	for i := 0; i <= u; i++ {
 		t := bestT - 0.5 + float64(i)/float64(u)
 		r := d.evalQOracle(antennas, start, cfo, t, bestF2, rs)
-		if qs := d.qStar(r); qs > finalQ {
+		if qs := qStar(r, 0); qs > finalQ {
 			finalQ, finalT = qs, t
 		}
-	}
-	if finalQ < 0 {
-		return bestT, bestF2, bestQS
 	}
 	return finalT, bestF2, finalQ
 }
@@ -303,8 +297,8 @@ func (d *Detector) checkSearch(ants [][]complex128, start, cfo float64, rs *refi
 	if onHalfGrid(start) {
 		return rel, false, fmt.Errorf("search (%v, %v, Q %v), oracle (%v, %v, Q %v): picks differ on the half-sample grid", gt, gf, gq, wt, wf, wq)
 	}
-	qg := d.qStar(d.evalQOracle(ants, start, cfo, gt, gf, ors))
-	qw := d.qStar(d.evalQOracle(ants, start, cfo, wt, wf, ors))
+	qg := qStar(d.evalQOracle(ants, start, cfo, gt, gf, ors), 0)
+	qw := qStar(d.evalQOracle(ants, start, cfo, wt, wf, ors), 0)
 	if !qClose(qg, qw, bound) {
 		return rel, false, fmt.Errorf("search (%v, %v, Q %v), oracle (%v, %v, Q %v): oracle Q* at the picks %v and %v is no tie",
 			gt, gf, gq, wt, wf, wq, qg, qw)
@@ -573,5 +567,173 @@ func TestFractionalSearchSteadyStateAllocs(t *testing.T) {
 				t.Errorf("fractionalSearch allocates %v times per call after warm-up", n)
 			}
 		})
+	}
+}
+
+// TestQStarMatchesPerLineEvalQ checks the shift identity phases 2 and 3
+// rest on: Q* on line l read from the first line's Q, qStar(r, l), against
+// Q* of line l's own evalQ, for l = 0, 1, 2 and first lines across phase
+// 1's range, gated directly on line l's peaks at bin 0. The energy must
+// agree within qRelBound and the gate exactly, unless line l's own spectrum
+// holds a tie: its nonzero energies at its own peak and at the first
+// line's peak, shifted by l, within qRelBound of each other. The starts cover a packet,
+// upchirp rows all before sample 0, downchirp rows all past the end
+// (all-zero sums), downchirp rows cut at their start (a few samples, so a
+// flat spectrum: ties), and an all-zero trace.
+func TestQStarMatchesPerLineEvalQ(t *testing.T) {
+	p := lora.MustParams(8, 4, 125e3, 4)
+	ants, start, cfo := diffTrace(t, p, 3)
+	d := NewDetector(p)
+	rs := d.newRefineScratch()
+	n, sym := p.N(), p.SymbolSamples()
+	// The packet with the samples before its ninth symbol cut off, so its
+	// upchirp rows start before sample 0; with everything from a few
+	// samples before its downchirps on cut off, so every δt below reads
+	// them as zeros; and cut at its downchirps' start.
+	cut := func(lo, hi int) [][]complex128 {
+		out := make([][]complex128, len(ants))
+		for i := range ants {
+			out[i] = ants[i][lo:hi]
+		}
+		return out
+	}
+	off, end := int(start)+9*sym, int(start)+10*sym
+	zeros := [][]complex128{make([]complex128, len(ants[0]))}
+	cases := []struct {
+		name  string
+		ants  [][]complex128
+		start float64
+	}{
+		{"packet", ants, start},
+		{"integer start", ants, math.Round(start)},
+		{"upchirps before sample 0", cut(off, len(ants[0])), start - float64(off)},
+		{"downchirps past the end", cut(0, end-8), start},
+		{"downchirps cut at their start", cut(0, end), start},
+		{"all-zero trace", zeros, start},
+	}
+	binEnergy := func(v []complex128, b int) float64 {
+		x := v[(b%n+n)%n]
+		return real(x)*real(x) + imag(x)*imag(x)
+	}
+	var passed, zero, zeroPassed, ties int
+	for _, c := range cases {
+		for _, dt := range []float64{-2, -0.5, 0, 1.5} {
+			for _, f0 := range []float64{-1, -0.5, -0.0625} {
+				r := d.evalQ(c.ants, c.start, cfo, dt, f0, rs)
+				if r.upZero || r.downZero {
+					zero++
+				}
+				for l := 0; l < 3; l++ {
+					own := d.evalQ(c.ants, c.start, cfo, dt, f0+float64(l), rs)
+					got, want := qStar(r, l), 0.0
+					if own.upBin == 0 && own.downBin == 0 {
+						want = own.energy
+					}
+					if (got == 0) != (want == 0) {
+						tie := true
+						for _, b := range []struct {
+							own, first int
+							sum        []complex128
+						}{{own.upBin, r.upBin, rs.upSum}, {own.downBin, r.downBin, rs.downSum}} {
+							e := binEnergy(b.sum, b.own)
+							if b.own != b.first-l && (e == 0 || !qClose(e, binEnergy(b.sum, b.first-l), qRelBound)) {
+								tie = false // an all-zero sum is no tie
+							}
+						}
+						if tie {
+							ties++
+							continue
+						}
+					}
+					if (got == 0) != (want == 0) || !qClose(got, want, qRelBound) {
+						t.Errorf("%s δt %v δf %v line %d: Q* %v from the first line %+v, %v from its own %+v",
+							c.name, dt, f0, l, got, r, want, own)
+					}
+					if want > 0 {
+						passed++
+						if l > 0 && (r.upZero || r.downZero) {
+							zeroPassed++
+						}
+					}
+				}
+			}
+		}
+	}
+	if passed == 0 || zero == 0 || zeroPassed == 0 {
+		t.Errorf("vacuous: %d gated hypotheses, %d with an all-zero sum, %d of them gated on lines 1–2", passed, zero, zeroPassed)
+	}
+	t.Logf("%d hypotheses passed the gate, %d had an all-zero sum, %d passed with one on lines 1–2, %d gates differed on a tie",
+		passed, zero, zeroPassed, ties)
+}
+
+// TestPhase1SweepMatchesPerHypothesis checks phase 1's symbol-axis sweep
+// against one BuildPreambleRotation + PreambleSpectra per hypothesis: Q
+// within qRelBound at every δf, and the same pick, for starts on and off
+// the half-sample grid, with upchirp rows before sample 0, and on one and
+// two antennas.
+func TestPhase1SweepMatchesPerHypothesis(t *testing.T) {
+	for _, osf := range []int{1, 8} {
+		p := lora.MustParams(8, 4, 125e3, osf)
+		ants, start, cfo := diffTrace(t, p, int64(40+osf))
+		sym := float64(p.SymbolSamples())
+		d := NewDetector(p)
+		rs := d.newRefineScratch()
+		for _, s := range []float64{start, math.Round(start), start + 3.25, -3*sym + 0.5} {
+			for _, c := range []float64{cfo, cfo + 0.4, cfo - 0.97, 0.5} {
+				for _, nAnt := range []int{1, 2} {
+					a := ants[:nAnt]
+					bestF := d.phase1(a, s, c, rs)
+					wantF, wantQ := 0.0, -1.0
+					for i := 0; i < lora.CFOSweepSteps; i++ {
+						f := -1 + float64(i)/lora.CFOSweepSteps
+						d.demod.BuildPreambleRotation(&rs.rot, c+f)
+						d.demod.SweepSpectra(rs.upSum, rs.downSum, &rs.rows, i, &rs.rot)
+						got := spectraQ(rs.upSum, rs.downSum)
+						want := d.evalRows(rs)
+						if !qClose(got.energy, want.energy, qRelBound) {
+							t.Fatalf("OSF %d start %v cfo %v ants %d δf %v: sweep Q %v, per hypothesis %v",
+								osf, s, c, nAnt, f, got.energy, want.energy)
+						}
+						if want.energy > wantQ {
+							wantQ, wantF = want.energy, f
+						}
+					}
+					if bestF != wantF {
+						t.Errorf("OSF %d start %v cfo %v ants %d: sweep picks δf %v, per hypothesis %v",
+							osf, s, c, nAnt, bestF, wantF)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFractionalSearchGatedNothingReturnsZero pins what a search returns
+// when no hypothesis puts both peaks at bin 0 (noise), or every sum is zero
+// (silence): Q* = 0 at δt = −(OSF/2 + 1), the first step of phase 3 from the
+// first step of phase 2, on phase 2's first line.
+func TestFractionalSearchGatedNothingReturnsZero(t *testing.T) {
+	for _, osf := range []int{1, 8} {
+		p := lora.MustParams(8, 4, 125e3, osf)
+		rng := rand.New(rand.NewSource(int64(70 + osf)))
+		noise := make([]complex128, 20*p.SymbolSamples())
+		for i := range noise {
+			noise[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		silence := make([]complex128, len(noise))
+		d := NewDetector(p)
+		rs := d.newRefineScratch()
+		start := float64(3 * p.SymbolSamples())
+		for _, c := range []struct {
+			name string
+			ants [][]complex128
+		}{{"noise", [][]complex128{noise}}, {"silence", [][]complex128{silence}}} {
+			lines, _ := phase2Lines(d.phase1(c.ants, start, 1.3, rs))
+			dt, df, q := d.fractionalSearch(c.ants, start, 1.3, rs)
+			if want := -(float64(osf)/2 + 1); q != 0 || dt != want || df != lines[0] {
+				t.Errorf("OSF %d %s: search returned (δt %v, δf %v, Q %v), want (%v, %v, 0)",
+					osf, c.name, dt, df, q, want, lines[0])
+			}
+		}
 	}
 }

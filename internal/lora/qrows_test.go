@@ -133,3 +133,87 @@ func TestPreambleRowsMatchDechirpInto(t *testing.T) {
 	}
 	t.Logf("largest error %.3g of the spectrum peak (bound %g)", worst, qRelBound)
 }
+
+// TestSweepSpectraMatchPreambleSpectra checks the symbol-axis sweep: for
+// each of its 16 hypotheses c + i/16, SweepSpectra must give the spectra
+// BuildPreambleRotation + PreambleSpectra give for that CFO, within
+// qRelBound of their peak, and the downchirp sums bit for bit. The starts
+// keep every row, drop upchirp rows before sample 0, or run the downchirps
+// past the end of the input; one CFO sweeps across zero.
+func TestSweepSpectraMatchPreambleSpectra(t *testing.T) {
+	worst := 0.0
+	for _, osf := range []int{1, 8} {
+		p := MustParams(7, 4, 125e3, osf)
+		d := NewDemodulator(p)
+		n, sym := p.N(), p.SymbolSamples()
+		rng := rand.New(rand.NewSource(int64(10 + osf)))
+		ants := make([][]complex128, 2)
+		for a := range ants {
+			ants[a] = make([]complex128, 14*sym)
+			for i := range ants[a] {
+				ants[a][i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+		}
+		end := float64(len(ants[0]))
+		starts := []float64{float64(sym) + 3, -3*float64(sym) + 0.5, end - 11*float64(sym)}
+		up, down := make([]complex128, n), make([]complex128, n)
+		wantUp, wantDown := make([]complex128, n), make([]complex128, n)
+		var pr PreambleRows
+		var rot PreambleRotation
+		for _, start := range starts {
+			for _, nAnt := range []int{1, 2} {
+				d.DechirpPreamble(&pr, ants[:nAnt], start)
+				for _, cfo := range []float64{-4.3, -0.5, 3.0625} {
+					d.BuildPreambleRotation(&rot, cfo)
+					d.SweepRows(&pr, &rot)
+					for i := 0; i < CFOSweepSteps; i++ {
+						d.BuildPreambleRotation(&rot, cfo+float64(i)/CFOSweepSteps)
+						d.SweepSpectra(up, down, &pr, i, &rot)
+						d.PreambleSpectra(wantUp, wantDown, &pr, &rot)
+						diff, scale := maxAbsDiff(up, wantUp)
+						if diff > qRelBound*scale {
+							t.Fatalf("OSF %d start %v ants %d cfo %v step %d: up sum off by %g of peak %g",
+								osf, start, nAnt, cfo, i, diff, scale)
+						}
+						if scale > 0 {
+							worst = math.Max(worst, diff/scale)
+						}
+						for b := range down {
+							if !sameBits(down[b], wantDown[b]) {
+								t.Fatalf("OSF %d start %v ants %d cfo %v step %d: down bin %d = %v, want %v",
+									osf, start, nAnt, cfo, i, b, down[b], wantDown[b])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("largest up-sum error %.3g of the spectrum peak (bound %g)", worst, qRelBound)
+}
+
+// TestDFT8MatchesNaive holds the radix-2 8-point DFT to the direct sum.
+func TestDFT8MatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 100; trial++ {
+		var a [8]complex128
+		for k := range a {
+			a[k] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		norm := 0.0
+		for _, v := range a {
+			norm += cmplx.Abs(v)
+		}
+		got := dft8(&a)
+		for m := range got {
+			var want complex128
+			for k, v := range a {
+				s, c := math.Sincos(-2 * math.Pi * float64(k*m%8) / 8)
+				want += v * complex(c, s)
+			}
+			if cmplx.Abs(got[m]-want) > 1e-15*norm {
+				t.Fatalf("trial %d bin %d: %v, want %v", trial, m, got[m], want)
+			}
+		}
+	}
+}

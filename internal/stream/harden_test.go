@@ -169,3 +169,39 @@ func TestFeedCleanStreamNoSanitizeCost(t *testing.T) {
 		t.Errorf("clean stream counted %d non-finite samples", v)
 	}
 }
+
+// TestZeroNonFiniteMatchesClassify holds zeroNonFinite's v−v test to the
+// IsNaN/IsInf classification of each part: NaN and ±Inf in either part or
+// both, next to ±0, subnormals, MaxFloat64 and random finite values.
+func TestZeroNonFiniteMatchesClassify(t *testing.T) {
+	parts := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 0x1p-1022, math.MaxFloat64,
+		-math.MaxFloat64, 1, -2.5, math.NaN(), math.Inf(1), math.Inf(-1)}
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 32; i++ {
+		parts = append(parts, rng.NormFloat64()*math.Pow(2, float64(rng.Intn(2000)-1000)))
+	}
+	bad := func(x float64) bool { return math.IsNaN(x) || math.IsInf(x, 0) }
+	var in []complex128
+	for _, re := range parts {
+		for _, im := range parts {
+			in = append(in, complex(re, im))
+		}
+	}
+	got := append([]complex128(nil), in...)
+	hit := zeroNonFinite(got)
+	want := 0
+	for i, v := range in {
+		if bad(real(v)) || bad(imag(v)) {
+			want++
+			if got[i] != 0 {
+				t.Errorf("%v: kept as %v, want 0", v, got[i])
+			}
+		} else if math.Float64bits(real(got[i])) != math.Float64bits(real(v)) ||
+			math.Float64bits(imag(got[i])) != math.Float64bits(imag(v)) {
+			t.Errorf("%v: changed to %v", v, got[i])
+		}
+	}
+	if hit != want {
+		t.Errorf("counted %d non-finite samples, want %d", hit, want)
+	}
+}

@@ -12,7 +12,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"tnb/internal/lora"
@@ -249,12 +248,12 @@ func dedupKey(payload []uint8, cell int) string {
 }
 
 // zeroNonFinite replaces NaN/±Inf samples with silence, returning how many
-// were hit.
+// were hit. v−v is 0 for a finite v and NaN, hence nonzero, exactly when
+// either part is NaN or ±Inf.
 func zeroNonFinite(s []complex128) int {
 	n := 0
 	for i, v := range s {
-		re, im := real(v), imag(v)
-		if math.IsNaN(re) || math.IsInf(re, 0) || math.IsNaN(im) || math.IsInf(im, 0) {
+		if v-v != 0 {
 			s[i] = 0
 			n++
 		}

@@ -153,6 +153,7 @@ type symbol struct {
 	start float64
 	y     []float64 // masked working copy of the signal vector
 	ps    []peaks.Peak
+	at    []float64 // at[bin] is the height of ps's peak there, 0 for none
 	costs []float64
 	// sibCosts/histCosts keep the per-peak cost split for tracing; they are
 	// filled only when traced is set (the packet carries a trace).
@@ -245,6 +246,7 @@ func (e *Engine) runCheckingPoint(pkts []*PacketState, cp float64) {
 	// collider; the 2M cap bounds the list.
 	for _, s := range syms {
 		s.ps = peaks.FindInto(s.ps, s.y, 6*e.sel.Median(s.y), 2*m)
+		s.indexPeaks(n)
 	}
 
 	if e.cfg.Policy == PolicyAlignTrack {
@@ -361,24 +363,38 @@ func knownBin(ps *PacketState, j int) (int, bool) {
 	return 0, false
 }
 
+// indexPeaks rebuilds s.at from s.ps. A pooled symbol's at still holds the
+// previous checking point's peaks, so it is cleared first.
+func (s *symbol) indexPeaks(n int) {
+	if len(s.at) != n {
+		s.at = make([]float64, n)
+	}
+	clear(s.at)
+	for _, pk := range s.ps {
+		s.at[pk.Bin] = max(s.at[pk.Bin], pk.Height)
+	}
+}
+
 // siblingHeight returns the height of the sibling of (bin in s) inside
 // other symbol os: a located peak within ±1 bin of the expected position,
-// or the raw signal-vector value there (paper §5.3.3).
+// or the raw signal-vector value there (paper §5.3.3). Only the bins
+// ⌊pos⌋−1 … ⌊pos⌋+2 can lie within 1.5 of pos, so it reads those from the
+// peak index under the same distance test as a scan of os.ps; a peak of
+// height 0 or less never counts, as in the scan.
 func siblingHeight(s *symbol, bin float64, os *symbol, n int) float64 {
 	pos := modBins(bin+os.pkt.Calc.Alpha()-s.pkt.Calc.Alpha(), n)
 	if pos < 0 {
 		pos += float64(n)
 	}
 	best := 0.0
-	found := false
-	for _, pk := range os.ps {
-		if circDist(float64(pk.Bin), pos, n) <= 1.5 {
-			if pk.Height > best {
-				best, found = pk.Height, true
-			}
+	b0 := int(math.Floor(pos))
+	for b := b0 - 1; b <= b0+2; b++ {
+		w := (b%n + n) % n
+		if h := os.at[w]; h > best && circDist(float64(w), pos, n) <= 1.5 {
+			best = h
 		}
 	}
-	if found {
+	if best > 0 {
 		return best
 	}
 	return os.pkt.Calc.ValueAt(os.idx, pos)
@@ -567,6 +583,7 @@ func (e *Engine) assignBest(sel *symbol, syms []*symbol, n int) {
 		keptSib, keptHist := os.sibCosts[:0], os.histCosts[:0]
 		for pi, opk := range os.ps {
 			if circDist(float64(opk.Bin), pos, n) <= 1.5 {
+				os.at[opk.Bin] = 0
 				continue
 			}
 			filtered = append(filtered, opk)

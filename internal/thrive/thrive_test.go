@@ -313,3 +313,77 @@ func TestModGuardsMatchMathMod(t *testing.T) {
 		}
 	}
 }
+
+// siblingHeightScan is siblingHeight as a scan of every located peak of
+// os, the reference for the bin index.
+func siblingHeightScan(s *symbol, bin float64, os *symbol, n int) float64 {
+	pos := modBins(bin+os.pkt.Calc.Alpha()-s.pkt.Calc.Alpha(), n)
+	if pos < 0 {
+		pos += float64(n)
+	}
+	best := 0.0
+	found := false
+	for _, pk := range os.ps {
+		if circDist(float64(pk.Bin), pos, n) <= 1.5 && pk.Height > best {
+			best, found = pk.Height, true
+		}
+	}
+	if found {
+		return best
+	}
+	return os.pkt.Calc.ValueAt(os.idx, pos)
+}
+
+// TestSiblingHeightIndexMatchesScan holds siblingHeight's bin index to the
+// scan of os.ps, bit for bit, at integer and fractional bins across the
+// whole circle, with peaks at both ends of it, of zero, negative and NaN
+// height, and after the symbol is reused with fewer peaks.
+func TestSiblingHeightIndexMatchesScan(t *testing.T) {
+	p := lora.MustParams(8, 4, 125e3, 8)
+	sym := float64(p.SymbolSamples())
+	n := p.N()
+	states, _, _ := buildScenario(t, 103, p, []spec{
+		{start: 20000.3, snr: 12, cfo: 1500},
+		{start: 20000.3 + 10.4*sym, snr: 8, cfo: -2600},
+	})
+	s := &symbol{pkt: states[0], idx: 3}
+	os := &symbol{pkt: states[1], idx: 1}
+	rng := rand.New(rand.NewSource(9))
+	check := func(round int) {
+		t.Helper()
+		for k := -2; k <= n+2; k++ {
+			for _, frac := range []float64{0, 0.25, 0.5, 0.75, 0.4999999999} {
+				bin := float64(k) + frac
+				got, want := siblingHeight(s, bin, os, n), siblingHeightScan(s, bin, os, n)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("round %d bin %v: index %v, scan %v", round, bin, got, want)
+				}
+			}
+		}
+	}
+	for round := 0; round < 20; round++ {
+		os.ps = os.ps[:0]
+		used := map[int]bool{}
+		for _, b := range append([]int{0, n - 1, 1}, rng.Perm(n)[:rng.Intn(12)]...) {
+			if used[b] {
+				continue
+			}
+			used[b] = true
+			h := rng.ExpFloat64()
+			switch rng.Intn(8) {
+			case 0:
+				h = 0
+			case 1:
+				h = -h
+			case 2:
+				h = math.NaN()
+			}
+			os.ps = append(os.ps, peaks.Peak{Bin: b, Height: h})
+		}
+		if round%2 == 1 {
+			os.ps = os.ps[:len(os.ps)/2] // a reused symbol with fewer peaks
+		}
+		os.indexPeaks(n)
+		check(round)
+	}
+}

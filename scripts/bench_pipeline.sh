@@ -78,8 +78,9 @@ raw=$(go test -bench 'BenchmarkReceiver/' -benchtime "$benchtime" -count 3 -run 
 echo "$raw" >&2
 
 # Kernel micro-benchmarks: the fused dechirp (vs the legacy 3-pass path), one
-# Q evaluation and one full fractional sync search, and the preamble scan across
-# pool widths. Time-based benchtime keeps these stable regardless of the
+# Q evaluation, one full fractional sync search, the whole refine (±2T
+# validation and search) of a collision trace's candidates, and the preamble
+# scan across pool widths. Time-based benchtime keeps these stable regardless of the
 # iteration count passed for the (much slower) receiver bench; -count with
 # per-row minimum (taken in the awk below) is the honest estimator on a
 # steal-prone shared host, where single runs swing far more than the
@@ -87,7 +88,7 @@ echo "$raw" >&2
 # its iterations are ms-scale (few per 200ms window), so its single-run
 # variance is the largest of the gated rows.
 kraw=$(go test -bench 'BenchmarkDechirp$' -benchtime 200ms -count 5 -run '^$' ./internal/lora
-       go test -bench 'BenchmarkEvalQ$|BenchmarkFractionalSearch$|BenchmarkScanPreambles$' -benchtime 200ms -count 15 -run '^$' ./internal/detect
+       go test -bench 'BenchmarkEvalQ$|BenchmarkFractionalSearch$|BenchmarkRefine$|BenchmarkScanPreambles$' -benchtime 200ms -count 15 -run '^$' ./internal/detect
        go test -bench 'BenchmarkDechirpKernel$|BenchmarkForwardMag256$|BenchmarkForwardMagBatch$' -benchtime 200ms -count 5 -run '^$' ./internal/dsp)
 echo "$kraw" >&2
 
