@@ -38,7 +38,6 @@ var testOnlyAllowed = map[string]string{
 	"internal/detect:Detector.CFOBiasCycles":        "test hook: the detector end of Config.FaultCFOBiasCycles, which New copies into it",
 	"internal/stagegraph:Config.MaxPayloadLen":      "fixture knob: the golden, fuzz and differential fixtures decode with a 12- or 16-byte bound to keep provisional calculators small, and golden_2pkt.tnbsgr records 12 in its header, so a constant 48 would change its bytes; production takes the 48-byte default",
 	"internal/stagegraph:Config.ListDecode":         "extension: list decoding decodes 239 packets where plain decoding gets 235 (EXPERIMENTS.md); whether it becomes the default is for the decode-quality gate to decide",
-	"internal/lora:Params.LDRO":                     "extension: low-data-rate optimization for SF 11/12, pinned by the LDRO tests; no command turns it on yet",
 	"internal/gateway:Backoff.Seed":                 "test hook: the retry tests pin reproducible jitter schedules; production uses seed 1",
 	"internal/stream:Config.MaxBufferSamples":       "test hook: the overflow tests set a tiny ceiling and the disabled one; production uses 4×(window+overlap)",
 	"internal/channel:Flat.Gain":                    "test fixture: Flat is the one-tap channel the channel and trace tests apply",

@@ -78,7 +78,7 @@ type cicScratch struct {
 	buf  []complex128 // one antenna's sub-window or full-window spectrum
 	vec  []float64    // one antenna's full-window signal vector
 	full []float64    // full-window spectrum summed over antennas
-	med  []float64    // MedianScratch working space, 2n
+	sel  stats.Selector
 	// acc[i] is the i-th kept sub-window's spectrum summed over antennas,
 	// and sets[i] its peaks; both grow to the most sub-windows seen.
 	acc   [][]float64
@@ -97,7 +97,7 @@ type cicCand struct {
 
 func newCICScratch(n int) *cicScratch {
 	sc := &cicScratch{buf: make([]complex128, n), vec: make([]float64, n),
-		full: make([]float64, n), med: make([]float64, 2*n)}
+		full: make([]float64, n)}
 	sc.fullOnly = [][]float64{sc.full}
 	return sc
 }
@@ -162,7 +162,7 @@ func (c *CIC) selectBin(sc *cicScratch, ants [][]complex128, pk detect.Packet, o
 	}
 	sets := sc.sets[:len(subSpectra)]
 	for i, sp := range subSpectra {
-		sets[i] = peaks.FindInto(sets[i], sp, 6*stats.MedianScratch(sp, sc.med), maxPeaks)
+		sets[i] = peaks.FindInto(sets[i], sp, 6*sc.sel.Median(sp), maxPeaks)
 	}
 	cands := sc.cands[:0]
 	for _, pk0 := range sets[0] {

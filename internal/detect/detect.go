@@ -108,14 +108,14 @@ type candidate struct {
 // accumulators refine and validatePreamble used to allocate per window and
 // per hypothesis, the validation window verdicts of the current candidate,
 // the rows, rotation, coherent sums and results of the Q search, and the
-// median scratch of peakNearZero.
+// median selector of peakNearZero.
 type refineScratch struct {
-	acc     []float64    // summed signal vector (validate + down location)
-	y       []float64    // per-antenna magnitude vector
-	buf     []complex128 // dechirp/FFT buffer
-	upSum   []complex128 // coherent preamble sum (Q)
-	downSum []complex128 // coherent downchirp sum (Q)
-	med     []float64    // MedianScratch working space, 2n for the distribute path
+	acc     []float64      // summed signal vector (validate + down location)
+	y       []float64      // per-antenna magnitude vector
+	buf     []complex128   // dechirp/FFT buffer
+	upSum   []complex128   // coherent preamble sum (Q)
+	downSum []complex128   // coherent downchirp sum (Q)
+	sel     stats.Selector // peakNearZero's median when it cannot count
 
 	// upWin[j+2] and downWin[j−8] are the verdicts of the windows at
 	// start + j·sym that the ±2T adjustments read.
@@ -147,7 +147,6 @@ func (d *Detector) newRefineScratch() *refineScratch {
 		buf:     make([]complex128, n),
 		upSum:   make([]complex128, n),
 		downSum: make([]complex128, n),
-		med:     make([]float64, 2*n),
 	}
 }
 
@@ -222,13 +221,13 @@ const scanBatchRows = 8
 
 // scanScratch is one scan worker's reusable state for the window transform:
 // the batched scan kernel, the batch accumulator, the per-antenna batch
-// vector (multi-antenna traces only) and the median scratch of the adaptive
-// selectivity.
+// vector (multi-antenna traces only) and the median selector of the
+// adaptive selectivity.
 type scanScratch struct {
 	kernel *lora.ScanKernel
 	accb   []float64 // summed batch, scanBatchRows·n
 	yb     []float64 // per-antenna batch, allocated on first multi-antenna use
-	med    []float64 // MedianScratch working space, 2n for the distribute path
+	sel    stats.Selector
 	// lastMed seeds the next window's median selection: neighboring windows
 	// share a noise floor, so the previous median splits the distribute at
 	// the rank error. A stale or useless seed only costs speed — the
@@ -242,7 +241,6 @@ func (d *Detector) newScanScratch() *scanScratch {
 	return &scanScratch{
 		kernel: d.demod.NewScanKernel(),
 		accb:   make([]float64, scanBatchRows*n),
-		med:    make([]float64, 2*n),
 	}
 }
 
@@ -343,7 +341,7 @@ func (d *Detector) scanWorker(w, blo, bhi int) {
 			// than the window's range, so a weak preamble is tracked
 			// next to a much stronger collider.
 			g := g0 + r
-			med, rot := stats.MedianArgMin(row, sc.med, sc.lastMed)
+			med, rot := sc.sel.MedianArgMin(row, sc.lastMed)
 			sc.lastMed = med
 			if sel := 6 * med; sel > 0 {
 				d.scanPeaks[g] = peaks.FindIntoAt(d.scanPeaks[g], row, sel, maxPeaksPerWindow, rot)
@@ -578,7 +576,7 @@ func (d *Detector) windowPeak(antennas [][]complex128, start, cfo float64, j int
 	if s >= 0 && int(s)+sym < len(antennas[0]) {
 		d.demod.SumSignalVectorInto(rs.acc, rs.y, rs.buf, antennas, s, cfo, j, down)
 		*v = winNoPeak
-		if peakNearZero(rs.acc, rs.med) {
+		if peakNearZero(rs.acc, &rs.sel) {
 			*v = winPeak
 		}
 	}
@@ -599,11 +597,10 @@ const countMinPeak = 0x1p-1000
 // v with 8v ≤ best instead of selecting. With the middle order statistics
 // a ≤ b, both on one side decide it; when the count falls between them, a
 // and b are the largest value on the low side and the smallest on the high
-// side, and the median is formed from them exactly as stats.MedianScratch
-// forms it. A non-finite value, or a peak too small or infinite for the
-// count to be exact, takes the median itself, read through the caller's
-// scratch.
-func peakNearZero(acc, med []float64) bool {
+// side, and the median is formed from them exactly as stats.Selector forms
+// it. A non-finite value, or a peak too small or infinite for the count to
+// be exact, takes the median itself, from the caller's selector.
+func peakNearZero(acc []float64, sel *stats.Selector) bool {
 	n := len(acc)
 	best := 0.0
 	for db := -2; db <= 2; db++ {
@@ -626,7 +623,7 @@ func peakNearZero(acc, med []float64) bool {
 	mid := (n - 1) / 2
 	switch {
 	case nf != 0 || best < countMinPeak || best > math.MaxFloat64:
-		return 8*stats.MedianScratch(acc, med) <= best
+		return 8*sel.Median(acc) <= best
 	case low > mid+1:
 		return true
 	case low <= mid:

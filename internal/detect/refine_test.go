@@ -11,7 +11,7 @@ import (
 
 // peakNearZeroMedian is the selection form of peakNearZero: the largest of
 // the bins within ±2 of bin 0 against 8× the median bin.
-func peakNearZeroMedian(acc, med []float64) bool {
+func peakNearZeroMedian(acc []float64, sel *stats.Selector) bool {
 	n := len(acc)
 	best := 0.0
 	for db := -2; db <= 2; db++ {
@@ -19,7 +19,7 @@ func peakNearZeroMedian(acc, med []float64) bool {
 			best = v
 		}
 	}
-	floor := stats.MedianScratch(acc, med)
+	floor := sel.Median(acc)
 	if floor <= 0 {
 		return best > 0
 	}
@@ -33,7 +33,7 @@ func peakNearZeroMedian(acc, med []float64) bool {
 // the two middle order statistics.
 func TestPeakNearZeroMatchesMedian(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	med := make([]float64, 2*257)
+	var sel stats.Selector
 	specials := []float64{0, math.Copysign(0, -1), 5e-324, 0x1p-1030, 0x1p-1000, math.MaxFloat64,
 		math.NaN(), math.Inf(1), math.Inf(-1), -1}
 	var between, verdicts [2]int
@@ -56,7 +56,7 @@ func TestPeakNearZeroMatchesMedian(t *testing.T) {
 			}
 		}
 		// Put the near-zero peak at the median's 8× boundary.
-		m := stats.MedianScratch(acc, med)
+		m := sel.Median(acc)
 		peak := 8 * m
 		switch rng.Intn(4) {
 		case 1:
@@ -67,7 +67,7 @@ func TestPeakNearZeroMatchesMedian(t *testing.T) {
 			peak = rng.ExpFloat64() * 20 * scale
 		}
 		acc[[]int{0, 1, 2, n - 1, n - 2}[rng.Intn(5)]%n] = peak
-		got, want := peakNearZero(acc, med), peakNearZeroMedian(acc, med)
+		got, want := peakNearZero(acc, &sel), peakNearZeroMedian(acc, &sel)
 		if got != want {
 			t.Fatalf("trial %d, n %d: count says %v, median says %v on %v", trial, n, got, want, acc)
 		}
@@ -129,7 +129,7 @@ func (d *Detector) validateOracle(antennas [][]complex128, start, cfo float64, r
 		}
 		total++
 		d.demod.SumSignalVectorInto(rs.acc, rs.y, rs.buf, antennas, s, cfo, k, false)
-		if peakNearZeroMedian(rs.acc, rs.med) {
+		if peakNearZeroMedian(rs.acc, &rs.sel) {
 			hits++
 		}
 	}
@@ -139,7 +139,7 @@ func (d *Detector) validateOracle(antennas [][]complex128, start, cfo float64, r
 	s := start + float64(10*sym)
 	if int(s)+sym < len(antennas[0]) && s >= 0 {
 		d.demod.SumSignalVectorInto(rs.acc, rs.y, rs.buf, antennas, s, cfo, 10, true)
-		return peakNearZeroMedian(rs.acc, rs.med)
+		return peakNearZeroMedian(rs.acc, &rs.sel)
 	}
 	return true
 }

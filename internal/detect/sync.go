@@ -23,17 +23,6 @@ type qResult struct {
 	upZero, downZero bool
 }
 
-// evalQ computes Q at the single hypothesis (start+δt, cfo+δf): the
-// complex signal vectors of the 8 preamble upchirps are summed coherently
-// (phase-continuous CFO correction) and likewise the 2 full downchirps; Q is
-// the summed peak energy of both. It is fractionalSearch's path for one
-// hypothesis: dechirp the start, build the CFO's rotation, combine.
-func (d *Detector) evalQ(antennas [][]complex128, start, cfo, dt, df float64, rs *refineScratch) qResult {
-	d.demod.DechirpPreamble(&rs.rows, antennas, start+dt)
-	d.demod.BuildPreambleRotation(&rs.rot, cfo+df)
-	return d.evalRows(rs)
-}
-
 // evalRows evaluates Q for the rows dechirped into rs.rows under rotation
 // rs.rot. The sums live in the worker's scratch: the search runs this dozens
 // of times per candidate, so it must not allocate.

@@ -112,6 +112,17 @@ func TestFractionalSearchConvergesFromCoarseOffsets(t *testing.T) {
 	}
 }
 
+// evalQ computes Q at the single hypothesis (start+δt, cfo+δf): the
+// complex signal vectors of the 8 preamble upchirps are summed coherently
+// (phase-continuous CFO correction) and likewise the 2 full downchirps; Q is
+// the summed peak energy of both. It is fractionalSearch's direct path for one
+// hypothesis: dechirp the start, build the CFO's rotation, combine.
+func (d *Detector) evalQ(antennas [][]complex128, start, cfo, dt, df float64, rs *refineScratch) qResult {
+	d.demod.DechirpPreamble(&rs.rows, antennas, start+dt)
+	d.demod.BuildPreambleRotation(&rs.rot, cfo+df)
+	return d.evalRows(rs)
+}
+
 // evalQOracle is the per-hypothesis Q evaluation the shared-row search
 // replaced, kept as the reference checkSearch holds it to: every row
 // is dechirped with its CFO correction fused in, transformed on its own and

@@ -83,12 +83,12 @@ func TestSampleAtEndpoints(t *testing.T) {
 		{-0.1, 0}, {2.5, 0}, {3, 0},
 	}
 	for _, c := range cases {
-		if got := SampleAt(x, c.pos); cmplx.Abs(got-c.want) > 1e-12 {
-			t.Errorf("SampleAt(%g) = %v, want %v", c.pos, got, c.want)
+		if got := sampleLinear(x, c.pos, len(x)); cmplx.Abs(got-c.want) > 1e-12 {
+			t.Errorf("sampleLinear(%g) = %v, want %v", c.pos, got, c.want)
 		}
 	}
-	if SampleAt(nil, 0) != 0 {
-		t.Error("SampleAt(nil) should be 0")
+	if sampleLinear(nil, 0, 0) != 0 {
+		t.Error("sampleLinear(nil) should be 0")
 	}
 }
 

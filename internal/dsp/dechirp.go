@@ -6,8 +6,8 @@ package dsp
 //
 // fusing the three passes of the legacy path (Resample → MulConj → CFO
 // rotate) into one loop over the symbol, with the rotation generated by a
-// Rotator instead of a per-sample Sincos. interp is the same linear
-// interpolation as SampleAt: positions outside [0, len(x)-1] read as 0.
+// Rotator instead of a per-sample Sincos. interp is sampleLinear:
+// positions outside [0, len(x)-1] read as 0.
 // len(ref) must equal len(dst); phase0 = dphase = 0 skips the rotation
 // entirely.
 //
@@ -69,22 +69,4 @@ func DechirpFused(dst, x []complex128, start, step float64, ref []complex128, ph
 		dst[k] = complex(real(v)*real(r)+imag(v)*imag(r),
 			imag(v)*real(r)-real(v)*imag(r))
 	}
-}
-
-// sampleLinear is SampleAt with the length hoisted, shaped for inlining into
-// the fused kernel loops.
-func sampleLinear(x []complex128, pos float64, n int) complex128 {
-	i := int(pos)
-	if pos >= 0 && i < n-1 {
-		frac := pos - float64(i)
-		if frac == 0 {
-			return x[i]
-		}
-		a, b := x[i], x[i+1]
-		return a + (b-a)*complex(frac, 0)
-	}
-	if i == n-1 && pos == float64(i) && pos >= 0 {
-		return x[i]
-	}
-	return 0
 }

@@ -76,9 +76,9 @@ func TestDechirpFusedIntegerFastPathExact(t *testing.T) {
 	want := make([]complex128, n)
 	for _, start := range []float64{0, float64(n), float64(2*n + 17), -8} {
 		DechirpFused(got, x, start, 4, ref, 0, 0)
-		// Reference: explicit strided gather with SampleAt semantics.
+		// Reference: explicit strided gather through the interpolator.
 		for k := range want {
-			v := SampleAt(x, start+4*float64(k))
+			v := sampleLinear(x, start+4*float64(k), len(x))
 			want[k] = v * cmplx.Conj(ref[k])
 		}
 		for i := range got {
@@ -89,9 +89,9 @@ func TestDechirpFusedIntegerFastPathExact(t *testing.T) {
 	}
 }
 
-// TestSampleAtEdgeCases covers the contract at and beyond the ends of x:
-// negative positions, the exact last sample, fractional positions inside
-// (len(x)-1, len(x)), and the frac == 0 fast path.
+// TestSampleAtEdgeCases covers sampleLinear's contract at and beyond the
+// ends of x: negative positions, the exact last sample, fractional positions
+// inside (len(x)-1, len(x)), the frac == 0 fast path, NaN and −Inf.
 func TestSampleAtEdgeCases(t *testing.T) {
 	x := []complex128{1 + 1i, 2, 3 - 1i, 4i}
 	cases := []struct {
@@ -107,18 +107,20 @@ func TestSampleAtEdgeCases(t *testing.T) {
 		{3.999, 0},               // still inside (len-1, len)
 		{4, 0},                   // one past the end
 		{2.5, (3 - 1i + 4i) / 2}, // interpolation into the last sample
+		{math.NaN(), 0},          // NaN reads as silence, not out of range
+		{math.Inf(-1), 0},
 	}
 	for _, c := range cases {
-		if got := SampleAt(x, c.pos); cmplx.Abs(got-c.want) > 1e-12 {
-			t.Errorf("SampleAt(%g) = %v, want %v", c.pos, got, c.want)
+		if got := sampleLinear(x, c.pos, len(x)); got != c.want && cmplx.Abs(got-c.want) > 1e-12 {
+			t.Errorf("sampleLinear(%g) = %v, want %v", c.pos, got, c.want)
 		}
 	}
-	if SampleAt([]complex128{}, 0) != 0 {
-		t.Error("SampleAt on empty input should be 0")
+	if sampleLinear([]complex128{}, 0, 0) != 0 {
+		t.Error("sampleLinear on empty input should be 0")
 	}
 }
 
-// TestResampleEdgeCases checks Resample keeps SampleAt's edge semantics when
+// TestResampleEdgeCases checks Resample keeps sampleLinear's edge semantics when
 // the sweep starts negative or runs off the end of x.
 func TestResampleEdgeCases(t *testing.T) {
 	x := []complex128{1, 2, 3, 4}

@@ -102,112 +102,23 @@ func (p *FFTPlan) Forward(x []complex128) {
 		panic(fmt.Sprintf("dsp: FFT input length %d != plan size %d", len(x), p.n))
 	}
 	p.bitReverse(x)
-	p.butterflies(x, p.n)
-}
-
-// ForwardMag computes y[i] = |FFT(x)[i]|² in a single pass: the final
-// butterfly stage feeds squared magnitudes straight into y instead of
-// materializing the spectrum and re-walking it with MagSq. x is consumed as
-// scratch — after the call it holds the two half-size sub-transforms, not
-// the spectrum. len(y) and len(x) must equal the plan size.
-func (p *FFTPlan) ForwardMag(y []float64, x []complex128) {
-	n := p.n
-	if len(x) != n || len(y) != n {
-		panic(fmt.Sprintf("dsp: ForwardMag lengths (%d, %d) != plan size %d", len(y), len(x), n))
-	}
-	if n == 1 {
-		y[0] = real(x[0])*real(x[0]) + imag(x[0])*imag(x[0])
-		return
-	}
-	p.bitReverse(x)
-	p.butterflies(x, n>>1)
-	// Final stage fused with the magnitude computation: the butterfly
-	// outputs a = x[i] + w·x[i+half] and b = x[i] − w·x[i+half] are squared
-	// in registers and never stored.
-	half := n >> 1
-	for i := 0; i < half; i++ {
-		u := x[i]
-		t := x[i+half]
-		if i != 0 {
-			t = p.twiddle[i] * t
-		}
-		a, b := u+t, u-t
-		y[i] = real(a)*real(a) + imag(a)*imag(a)
-		y[i+half] = real(b)*real(b) + imag(b)*imag(b)
-	}
-}
-
-// ForwardMagBatch is ForwardMag over rows stacked symbols: x and y hold
-// rows contiguous segments of the plan size, and row r is transformed
-// exactly as ForwardMag(y[r·n:(r+1)·n], x[r·n:(r+1)·n]) would — bit for bit
-// — but with one twiddle sweep shared by the whole stack. After the
-// twiddle-free size-2/4 stages (which run across the flat buffer, since row
-// boundaries are multiples of every stage size), each generic-stage twiddle
-// is loaded once and applied to the matching butterfly of every block of
-// every row, amortizing the table walk that dominates small transforms. x is
-// consumed as scratch. Rows are independent, so interleaving stages across
-// rows cannot change any row's result.
-func (p *FFTPlan) ForwardMagBatch(y []float64, x []complex128, rows int) {
-	n := p.n
-	if len(x) != rows*n || len(y) != rows*n {
-		panic(fmt.Sprintf("dsp: ForwardMagBatch lengths (%d, %d) != %d rows of plan size %d",
-			len(y), len(x), rows, n))
-	}
-	if rows <= 0 {
-		return
-	}
-	if n < 8 {
-		// Tiny transforms have no generic stages to batch; the stage layout
-		// below needs n to be a multiple of the size-4 stage.
-		for r := 0; r < rows; r++ {
-			p.ForwardMag(y[r*n:(r+1)*n], x[r*n:(r+1)*n])
-		}
-		return
-	}
-	total := rows * n
-	for r := 0; r < total; r += n {
-		p.bitReverse(x[r : r+n])
-	}
-	p.forwardMagStages(y, x, total)
-}
-
-// ForwardMagBatchRev is ForwardMagBatch for rows whose samples are already
-// stored in bit-reversed order — the layout a kernel produces when it fuses
-// its load with the reversal permutation (see Rev). Skipping the swap pass
-// saves one full walk of the stack; everything after it is the exact
-// ForwardMagBatch stage sequence. Requires the plan size to be ≥ 8 (every
-// 2^SF transform is).
-func (p *FFTPlan) ForwardMagBatchRev(y []float64, x []complex128, rows int) {
-	n := p.n
-	if len(x) != rows*n || len(y) != rows*n {
-		panic(fmt.Sprintf("dsp: ForwardMagBatchRev lengths (%d, %d) != %d rows of plan size %d",
-			len(y), len(x), rows, n))
-	}
-	if rows <= 0 {
-		return
-	}
-	if n < 8 {
-		panic(fmt.Sprintf("dsp: ForwardMagBatchRev needs plan size >= 8, have %d", n))
-	}
-	p.forwardMagStages(y, x, rows*n)
+	p.ForwardRev(x)
 }
 
 // ForwardRev is Forward for input already stored in bit-reversed order (see
 // Rev), the layout a caller produces when it fuses its last pass over the
-// data with the reversal permutation: it skips the swap pass and runs the
-// batchStages sequence, whose butterflies are Forward's own, so the result is
-// bit-identical to Forward on the unpermuted input. len(x) must equal the
+// data with the reversal permutation: it skips the swap pass, so the result
+// is bit-identical to Forward on the unpermuted input. len(x) must equal the
 // plan size.
 func (p *FFTPlan) ForwardRev(x []complex128) {
 	n := p.n
 	if len(x) != n {
 		panic(fmt.Sprintf("dsp: ForwardRev input length %d != plan size %d", len(x), n))
 	}
-	if n < 8 {
-		p.butterflies(x, n)
+	if n == 1 {
 		return
 	}
-	p.batchStages(x, n)
+	p.stages(x, n)
 	half := n >> 1
 	twf := p.twiddle[:half:half]
 	lo := x[:half:half]
@@ -221,11 +132,41 @@ func (p *FFTPlan) ForwardRev(x []complex128) {
 	}
 }
 
-// forwardMagStages runs the shared post-reversal stage sequence of the
-// batched magnitude transforms over a flat stack of total = rows·n samples.
-func (p *FFTPlan) forwardMagStages(y []float64, x []complex128, total int) {
-	n := p.n
-	p.batchStages(x, total)
+// ForwardMag computes y[i] = |FFT(x)[i]|²: it is ForwardMagBatch of one row.
+// x is consumed as scratch. len(y) and len(x) must equal the plan size.
+func (p *FFTPlan) ForwardMag(y []float64, x []complex128) {
+	p.ForwardMagBatch(y, x, 1)
+}
+
+// ForwardMagBatch computes the squared-magnitude spectra of rows stacked
+// transforms: x and y hold rows contiguous segments of the plan size, and
+// y[r·n:(r+1)·n] = |FFT(x[r·n:(r+1)·n])|². Each row is bit-reversed, then the
+// whole stack runs through ForwardMagBatchRev. x is consumed as scratch.
+func (p *FFTPlan) ForwardMagBatch(y []float64, x []complex128, rows int) {
+	p.checkRows("ForwardMagBatch", y, x, rows)
+	for r := 0; r < rows*p.n; r += p.n {
+		p.bitReverse(x[r : r+p.n])
+	}
+	p.ForwardMagBatchRev(y, x, rows)
+}
+
+// ForwardMagBatchRev is ForwardMagBatch for rows whose samples are already
+// stored in bit-reversed order — the layout a kernel produces when it fuses
+// its load with the reversal permutation (see Rev). The stages below the
+// last run across the whole stack, so each twiddle is loaded once for every
+// block of every row, and the final stage squares its butterfly outputs in
+// registers instead of storing the spectrum. Rows are independent, so
+// interleaving stages across rows cannot change any row's result.
+func (p *FFTPlan) ForwardMagBatchRev(y []float64, x []complex128, rows int) {
+	p.checkRows("ForwardMagBatchRev", y, x, rows)
+	n, total := p.n, rows*p.n
+	if n == 1 {
+		for i, v := range x {
+			y[i] = real(v)*real(v) + imag(v)*imag(v)
+		}
+		return
+	}
+	p.stages(x, total)
 	// Final stage fused with the magnitude computation, per row, with the
 	// w == 1 butterfly hoisted out of the twiddled loop.
 	half := n >> 1
@@ -249,25 +190,38 @@ func (p *FFTPlan) forwardMagStages(y []float64, x []complex128, total int) {
 	}
 }
 
-// batchStages runs every butterfly stage below the final one (sizes 2 to
-// n/2) over a flat stack of total = rows·n bit-reversed samples; n must be
-// at least 8. Row boundaries are multiples of every stage size, so each
-// stage runs across the whole stack; the arithmetic per butterfly is
-// exactly butterflies'.
-func (p *FFTPlan) batchStages(x []complex128, total int) {
-	n := p.n
-	// Size-2 stage: w = 1 everywhere.
-	for i := 0; i+1 < total; i += 2 {
-		a, b := x[i], x[i+1]
-		x[i], x[i+1] = a+b, a-b
+// checkRows panics unless x and y each hold rows transforms of the plan size.
+func (p *FFTPlan) checkRows(name string, y []float64, x []complex128, rows int) {
+	if rows < 0 || len(x) != rows*p.n || len(y) != rows*p.n {
+		panic(fmt.Sprintf("dsp: %s lengths (%d, %d) != %d rows of plan size %d",
+			name, len(y), len(x), rows, p.n))
 	}
-	// Size-4 stage: w ∈ {1, -i}.
-	for s := 0; s < total; s += 4 {
-		a, b := x[s], x[s+2]
-		x[s], x[s+2] = a+b, a-b
-		c, d := x[s+1], x[s+3]
-		t := complex(imag(d), -real(d)) // -i·d
-		x[s+1], x[s+3] = c+t, c-t
+}
+
+// stages runs every butterfly stage below the final one (sizes 2 to n/2)
+// over a flat stack of total = rows·n bit-reversed samples. Row boundaries
+// are multiples of every stage size, so each stage runs across the whole
+// stack. The size-2 and size-4 stages are unrolled: their twiddles are
+// exactly 1 and −i, and multiplying by either is exact in IEEE arithmetic.
+// Every later stage skips the w == 1 multiply of its first butterfly.
+func (p *FFTPlan) stages(x []complex128, total int) {
+	n := p.n
+	if n >= 4 {
+		// Size-2 stage: w = 1 everywhere.
+		for i := 0; i+1 < total; i += 2 {
+			a, b := x[i], x[i+1]
+			x[i], x[i+1] = a+b, a-b
+		}
+	}
+	if n >= 8 {
+		// Size-4 stage: w ∈ {1, -i}.
+		for s := 0; s < total; s += 4 {
+			a, b := x[s], x[s+2]
+			x[s], x[s+2] = a+b, a-b
+			c, d := x[s+1], x[s+3]
+			t := complex(imag(d), -real(d)) // -i·d
+			x[s+1], x[s+3] = c+t, c-t
+		}
 	}
 	// Size-8 stage, fully unrolled: its three twiddles are loop constants
 	// shared by every block, and unrolling removes the 3-iteration inner
@@ -317,49 +271,6 @@ func (p *FFTPlan) bitReverse(x []complex128) {
 		j := int(p.rev[i])
 		if i < j {
 			x[i], x[j] = x[j], x[i]
-		}
-	}
-}
-
-// butterflies runs the iterative Cooley-Tukey stages from size 2 up to and
-// including upTo (a power of two ≤ n). The size-2 and size-4 stages are
-// unrolled — their twiddles are exactly 1 and −i, so they need no complex
-// multiplies — and every later stage skips the w == 1 multiply of its first
-// butterfly. Multiplying by (1+0i) or (0−i) is exact in IEEE arithmetic, so
-// the specialized stages are bit-identical to the generic loop.
-func (p *FFTPlan) butterflies(x []complex128, upTo int) {
-	n := p.n
-	if upTo >= 2 {
-		// Size-2 stage: w = 1 for every butterfly.
-		for i := 0; i+1 < n; i += 2 {
-			a, b := x[i], x[i+1]
-			x[i], x[i+1] = a+b, a-b
-		}
-	}
-	if upTo >= 4 {
-		// Size-4 stage: w ∈ {1, -i}.
-		for s := 0; s < n; s += 4 {
-			a, b := x[s], x[s+2]
-			x[s], x[s+2] = a+b, a-b
-			c, d := x[s+1], x[s+3]
-			t := complex(imag(d), -real(d)) // -i·d
-			x[s+1], x[s+3] = c+t, c-t
-		}
-	}
-	for size := 8; size <= upTo; size <<= 1 {
-		half := size >> 1
-		step := n / size
-		for start := 0; start < n; start += size {
-			// k == 0: w = 1, no multiply.
-			a, b := x[start], x[start+half]
-			x[start], x[start+half] = a+b, a-b
-			k := step
-			for i := start + 1; i < start+half; i++ {
-				t := p.twiddle[k] * x[i+half]
-				x[i+half] = x[i] - t
-				x[i] += t
-				k += step
-			}
 		}
 	}
 }

@@ -140,8 +140,7 @@ func TestFFTLinearity(t *testing.T) {
 // TestForwardMagMatchesForwardPlusMagSq checks the fused spectrum-magnitude
 // path against the two-pass reference. For sizes ≥ 8 the final fused stage
 // runs the same stored-twiddle butterflies as Forward, so the match is
-// bit-exact; the tiny sizes (where Forward's last stage is one of the
-// unrolled exact-twiddle specializations) are held to 1e-12 relative.
+// bit-exact; the tiny sizes are held to 1e-12 relative.
 func TestForwardMagMatchesForwardPlusMagSq(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, n := range []int{1, 2, 4, 8, 64, 256, 1024} {
@@ -168,6 +167,98 @@ func TestForwardMagMatchesForwardPlusMagSq(t *testing.T) {
 				t.Fatalf("n=%d bin %d: ForwardMag %v vs Forward+MagSq %v", n, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// butterfliesOracle is a standalone in-place radix-2 transform, the
+// reference the plan's stage engine is pinned to: the bit-reversal pass,
+// unrolled size-2 and size-4 stages with their exact twiddles 1 and −i,
+// then every stage up to n read through the full twiddle table at stride
+// n/size, with no compacted tables and no stacked rows.
+func butterfliesOracle(p *FFTPlan, x []complex128) {
+	n := p.n
+	p.bitReverse(x)
+	if n >= 2 {
+		for i := 0; i+1 < n; i += 2 {
+			a, b := x[i], x[i+1]
+			x[i], x[i+1] = a+b, a-b
+		}
+	}
+	if n >= 4 {
+		for s := 0; s < n; s += 4 {
+			a, b := x[s], x[s+2]
+			x[s], x[s+2] = a+b, a-b
+			c, d := x[s+1], x[s+3]
+			t := complex(imag(d), -real(d))
+			x[s+1], x[s+3] = c+t, c-t
+		}
+	}
+	for size := 8; size <= n; size <<= 1 {
+		half := size >> 1
+		step := n / size
+		for start := 0; start < n; start += size {
+			a, b := x[start], x[start+half]
+			x[start], x[start+half] = a+b, a-b
+			k := step
+			for i := start + 1; i < start+half; i++ {
+				t := p.twiddle[k] * x[i+half]
+				x[i+half] = x[i] - t
+				x[i] += t
+				k += step
+			}
+		}
+	}
+}
+
+// TestTransformsMatchButterfliesOracle pins Forward, ForwardMag and
+// ForwardMagBatch to the oracle. From n = 8 up the twiddle bits and operand
+// order are the oracle's, so the match is bit for bit. At n = 4 the final
+// stage multiplies by the stored twiddle ≈ −i instead of exactly −i, which
+// moves the result by a few ulps; n = 1 and 2 have no twiddled stage.
+func TestTransformsMatchButterfliesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for n := 1; n <= 4096; n <<= 1 {
+		p := MustPlan(n)
+		const rows = 3
+		x := randRows(rng, rows, n)
+		want := make([]complex128, rows*n)
+		copy(want, x)
+		wantMag := make([]float64, rows*n)
+		for r := 0; r < rows; r++ {
+			butterfliesOracle(p, want[r*n:(r+1)*n])
+		}
+		MagSq(wantMag, want)
+
+		fwd := append([]complex128(nil), x[:n]...)
+		p.Forward(fwd)
+		mag := make([]float64, n)
+		p.ForwardMag(mag, append([]complex128(nil), x[:n]...))
+		batch := make([]float64, rows*n)
+		p.ForwardMagBatch(batch, append([]complex128(nil), x...), rows)
+
+		for i := range fwd {
+			checkOracle(t, n, "Forward re", real(fwd[i]), real(want[i]))
+			checkOracle(t, n, "Forward im", imag(fwd[i]), imag(want[i]))
+			checkOracle(t, n, "ForwardMag", mag[i], wantMag[i])
+		}
+		for i := range batch {
+			checkOracle(t, n, "ForwardMagBatch", batch[i], wantMag[i])
+		}
+	}
+}
+
+// checkOracle requires got == want bit for bit for n ≥ 8 and
+// |got − want| ≤ 1e-15·max(1, |want|) below.
+func checkOracle(t *testing.T, n int, what string, got, want float64) {
+	t.Helper()
+	if n >= 8 {
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d %s: %v, oracle %v", n, what, got, want)
+		}
+		return
+	}
+	if math.Abs(got-want) > 1e-15*math.Max(1, math.Abs(want)) {
+		t.Fatalf("n=%d %s: %v, oracle %v (diff %g)", n, what, got, want, got-want)
 	}
 }
 

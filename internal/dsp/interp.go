@@ -1,48 +1,34 @@
 package dsp
 
-// SampleAt linearly interpolates the complex sequence x at the real-valued
-// position pos (in samples). Positions outside [0, len(x)-1] return 0, which
-// models the silence beyond the edges of a capture.
-func SampleAt(x []complex128, pos float64) complex128 {
-	if pos < 0 || len(x) == 0 {
-		return 0
-	}
-	i := int(pos)
-	if i >= len(x)-1 {
-		if i == len(x)-1 && pos == float64(i) {
-			return x[i]
-		}
-		return 0
-	}
-	frac := pos - float64(i)
-	if frac == 0 {
-		return x[i]
-	}
-	a, b := x[i], x[i+1]
-	f := complex(frac, 0)
-	return a + (b-a)*f
-}
-
 // Resample fills dst[k] with the interpolated value of x at
-// start + k*step. It is the workhorse of the decimating dechirper: step is
-// the over-sampling factor, start the (fractional) symbol boundary.
+// start + k*step (see sampleLinear). It is the workhorse of the decimating
+// dechirper: step is the over-sampling factor, start the (fractional)
+// symbol boundary.
 func Resample(dst []complex128, x []complex128, start, step float64) {
-	pos := start
 	n := len(x)
+	pos := start
 	for k := range dst {
-		// Inline the common fast path: integral position strictly inside x.
-		i := int(pos)
-		if pos >= 0 && i < n-1 {
-			frac := pos - float64(i)
-			if frac == 0 {
-				dst[k] = x[i]
-			} else {
-				a, b := x[i], x[i+1]
-				dst[k] = a + (b-a)*complex(frac, 0)
-			}
-		} else {
-			dst[k] = SampleAt(x, pos)
-		}
+		dst[k] = sampleLinear(x, pos, n)
 		pos += step
 	}
+}
+
+// sampleLinear linearly interpolates x (of length n) at the real-valued
+// position pos, in samples. Positions outside [0, n-1], and NaN, read as 0,
+// which models the silence beyond the edges of a capture. It is shaped for
+// inlining into the kernel loops.
+func sampleLinear(x []complex128, pos float64, n int) complex128 {
+	i := int(pos)
+	if pos >= 0 && i < n-1 {
+		frac := pos - float64(i)
+		if frac == 0 {
+			return x[i]
+		}
+		a, b := x[i], x[i+1]
+		return a + (b-a)*complex(frac, 0)
+	}
+	if i == n-1 && pos == float64(i) && pos >= 0 {
+		return x[i]
+	}
+	return 0
 }

@@ -61,8 +61,8 @@ type Hello struct {
 // else out of range is rejected so the client gets a clear one-line JSON
 // error instead of a silent mid-stream failure.
 func (h Hello) Validate() error {
-	if h.SF < 6 || h.SF > 12 {
-		return fmt.Errorf("hello: sf %d out of range [6, 12]", h.SF)
+	if h.SF < 7 || h.SF > 12 {
+		return fmt.Errorf("hello: sf %d out of range [7, 12] (the explicit PHY header needs sf >= 7)", h.SF)
 	}
 	if h.CR < 0 || h.CR > 4 {
 		return fmt.Errorf("hello: cr %d out of range [1, 4] (0 selects CR 4)", h.CR)

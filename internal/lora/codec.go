@@ -131,7 +131,7 @@ func Encode(p Params, payload []uint8) ([]int, Layout, error) {
 			pos++
 		}
 		for _, bits := range blk.Interleave() {
-			if p.LDRO {
+			if p.LDRO() {
 				shifts = append(shifts, int(GrayInverse(bits))<<2)
 			} else {
 				shifts = append(shifts, int(GrayInverse(bits)))
@@ -172,7 +172,7 @@ func PayloadBlocksFromShifts(p Params, shifts []int, nblocks int) []*Block {
 			idx := HeaderSymbols + b*cw + j
 			var v uint32
 			if idx < len(shifts) {
-				if p.LDRO {
+				if p.LDRO() {
 					v = (uint32(shifts[idx]) + 2) >> 2 % (uint32(1) << uint(rows))
 				} else {
 					v = uint32(shifts[idx]) % uint32(p.N())

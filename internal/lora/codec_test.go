@@ -248,7 +248,10 @@ func TestEncodeDecodeRoundTripAllParams(t *testing.T) {
 }
 
 func TestEncodeRejectsSF6(t *testing.T) {
-	p := MustParams(6, 4, 125e3, 8)
+	if _, err := NewParams(6, 4, 125e3, 8); err == nil {
+		t.Error("NewParams accepted SF 6")
+	}
+	p := Params{SF: 6, CR: 4, Bandwidth: 125e3, OSF: 8}
 	if _, _, err := Encode(p, []uint8{1, 2, 3}); err == nil {
 		t.Error("expected error for SF 6 explicit header")
 	}

@@ -8,12 +8,29 @@ import (
 
 // Tests for the LDRO extension.
 
+// TestLDRODerivedFromSymbolTime pins the rule: LDRO is on exactly when a
+// symbol lasts longer than 16 ms.
+func TestLDRODerivedFromSymbolTime(t *testing.T) {
+	for _, c := range []struct {
+		sf   int
+		bw   float64
+		want bool
+	}{
+		{7, 125e3, false}, {8, 125e3, false}, {9, 125e3, false}, {10, 125e3, false},
+		{11, 125e3, true}, {12, 125e3, true},
+		{11, 250e3, false}, {12, 250e3, true}, {12, 500e3, false},
+	} {
+		if got := MustParams(c.sf, 4, c.bw, 8).LDRO(); got != c.want {
+			t.Errorf("SF %d at %g Hz: LDRO %v, want %v", c.sf, c.bw, got, c.want)
+		}
+	}
+}
+
 func TestLDRORoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(600))
-	for _, sf := range []int{9, 11, 12} {
+	for _, sf := range []int{11, 12} {
 		for cr := 1; cr <= 4; cr++ {
 			p := MustParams(sf, cr, 125e3, 8)
-			p.LDRO = true
 			for _, ln := range []int{0, 5, 16, 40} {
 				payload := make([]uint8, ln)
 				rng.Read(payload)
@@ -43,7 +60,6 @@ func TestLDROAbsorbsLargerBinErrors(t *testing.T) {
 	// The point of LDRO: a ±1 bin error (clock drift on long symbols) is
 	// absorbed by the grid rounding before Gray decoding.
 	p := MustParams(11, 4, 125e3, 8)
-	p.LDRO = true
 	payload := []uint8("drift-proof!!")
 	shifts, _, err := Encode(p, payload)
 	if err != nil {
@@ -64,10 +80,9 @@ func TestLDROAbsorbsLargerBinErrors(t *testing.T) {
 }
 
 func TestLDROUsesMoreSymbols(t *testing.T) {
-	p := MustParams(10, 4, 125e3, 8)
-	plain := p.PayloadSymbols(20)
-	p.LDRO = true
-	if ldro := p.PayloadSymbols(20); ldro <= plain {
+	// SF 11 at 250 kHz runs without LDRO, at 125 kHz with it.
+	plain := MustParams(11, 4, 250e3, 8).PayloadSymbols(20)
+	if ldro := MustParams(11, 4, 125e3, 8).PayloadSymbols(20); ldro <= plain {
 		t.Errorf("LDRO symbols %d should exceed plain %d", ldro, plain)
 	}
 }

@@ -28,16 +28,10 @@ const HeaderSymbols = 8
 // Params bundles the radio parameters of a LoRa link. The zero value is not
 // usable; construct with NewParams.
 type Params struct {
-	SF        int     // spreading factor, 6..12
+	SF        int     // spreading factor, 7..12
 	CR        int     // coding rate, 1..4 (number of parity bits sent)
 	Bandwidth float64 // Hz, e.g. 125 kHz
 	OSF       int     // receiver over-sampling factor, ≥ 1
-	// LDRO enables the low-data-rate optimization: payload symbols carry
-	// SF-2 bits (like the header block), trading rate for robustness to
-	// clock drift on long symbols. Commodity radios enable it for symbol
-	// times above 16 ms (SF 11/12 at 125 kHz); the paper's SF 8/10
-	// configurations run without it.
-	LDRO bool
 }
 
 // NewParams validates and returns a parameter set. Defaults from the paper's
@@ -67,8 +61,8 @@ func MustParams(sf, cr int, bandwidth float64, osf int) Params {
 
 // Validate reports whether the parameter combination is supported.
 func (p Params) Validate() error {
-	if p.SF < 6 || p.SF > 12 {
-		return fmt.Errorf("lora: SF %d out of range [6, 12]", p.SF)
+	if p.SF < 7 || p.SF > 12 {
+		return fmt.Errorf("lora: SF %d out of range [7, 12]: the explicit PHY header needs SF >= 7, and LoRa has no SF above 12", p.SF)
 	}
 	if p.CR < 1 || p.CR > 4 {
 		return fmt.Errorf("lora: CR %d out of range [1, 4]", p.CR)
@@ -94,6 +88,13 @@ func (p Params) SampleRate() float64 { return p.Bandwidth * float64(p.OSF) }
 // SymbolDuration returns the symbol time in seconds.
 func (p Params) SymbolDuration() float64 { return float64(p.N()) / p.Bandwidth }
 
+// LDRO reports whether the low-data-rate optimization is on: payload
+// symbols then carry SF-2 bits (like the header block), trading rate for
+// robustness to clock drift on long symbols. Radios turn it on for symbol
+// times above 16 ms, which at 125 kHz means SF 11 and 12; the paper's SF 8
+// and 10 configurations run without it.
+func (p Params) LDRO() bool { return p.SymbolDuration() > 16e-3 }
+
 // PreambleSymbols returns the preamble length in symbols, including the
 // 2.25 downchirps (as a fractional count).
 func (p Params) PreambleSymbols() float64 {
@@ -115,7 +116,7 @@ func (p Params) headerRows() int { return p.SF - 2 }
 // payloadRows returns the codeword rows per payload block: SF normally,
 // SF-2 with the low-data-rate optimization.
 func (p Params) payloadRows() int {
-	if p.LDRO {
+	if p.LDRO() {
 		return p.SF - 2
 	}
 	return p.SF

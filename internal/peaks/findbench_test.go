@@ -13,7 +13,7 @@ func BenchmarkFindIntoNoise(b *testing.B) {
 	const n, rowsN = 256, 64
 	rows := make([][]float64, rowsN)
 	sels := make([]float64, rowsN)
-	med := make([]float64, 2*n)
+	var med stats.Selector
 	for r := range rows {
 		y := make([]float64, n)
 		for i := range y {
@@ -24,7 +24,7 @@ func BenchmarkFindIntoNoise(b *testing.B) {
 			y[rng.Intn(n)] += 40 * math.Sqrt(float64(n))
 		}
 		rows[r] = y
-		sels[r] = 6 * stats.MedianScratch(y, med)
+		sels[r] = 6 * med.Median(y)
 	}
 	var dst []Peak
 	b.ReportAllocs()

@@ -71,6 +71,34 @@ func TestPrefillMatchesLazySigVec(t *testing.T) {
 	}
 }
 
+// TestLazySigVecMatchesSumSignalVector pins the lazy path, a one-symbol
+// prefillChunk, to the demodulator's per-symbol antenna sum bit for bit on
+// every symbol, and checks that a warm calculator computes a lazy vector
+// without allocating.
+func TestLazySigVecMatchesSumSignalVector(t *testing.T) {
+	d, ants, start, cfo, numData := prefillFixture(t)
+	n := d.Params().N()
+	acc, y, buf := make([]float64, n), make([]float64, n), make([]complex128, n)
+	c := NewCalculator(d, ants, start, cfo, numData)
+	lo, hi := SymbolRange(numData)
+	for idx := lo; idx < hi; idx++ {
+		d.SumSignalVectorInto(acc, y, buf, ants, c.symStart(idx), cfo, idx, false)
+		got := c.SigVec(idx)
+		for i := range acc {
+			if math.Float64bits(got[i]) != math.Float64bits(acc[i]) {
+				t.Fatalf("symbol %d bin %d: lazy %v, SumSignalVectorInto %v", idx, i, got[i], acc[i])
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		c.Reset(d, ants, start, cfo, numData)
+		c.SigVec(3)
+	})
+	if allocs != 0 {
+		t.Fatalf("lazy SigVec on a warm calculator allocates %v/op", allocs)
+	}
+}
+
 // TestPrefillPreambleFillsOnlyPreamble checks PrefillPreamble caches exactly
 // the preamble upchirp and sync slots and leaves every data symbol lazy.
 func TestPrefillPreambleFillsOnlyPreamble(t *testing.T) {

@@ -17,9 +17,10 @@ import (
 // The cache is a dense slice indexed by idx + preambleOffset over one
 // contiguous arena, so a fully materialized packet costs two allocations
 // instead of one map entry plus one vector per symbol. Vectors are computed
-// lazily by SigVec — which mutates the shared scratch and is therefore
+// lazily by SigVec — which mutates the batch scratch and is therefore
 // single-goroutine — or all at once by Prefill, after which every accessor
-// is a pure read and safe for concurrent readers.
+// is a pure read and safe for concurrent readers. Both fill through
+// prefillChunk, so a vector has the same bits whichever path computed it.
 type Calculator struct {
 	demod     *lora.Demodulator
 	antennas  [][]complex128
@@ -34,11 +35,9 @@ type Calculator struct {
 	vecs  [][]float64
 	arena []float64
 
-	buf     []complex128
-	scratch []float64
-
-	// Batched-prefill scratch for the first worker: prefillBatchRows
-	// dechirped rows stacked for one ForwardMagBatch twiddle sweep.
+	// Batch scratch of lazy SigVec (one row) and of Prefill's first worker
+	// (prefillBatchRows dechirped rows stacked for one ForwardMagBatch
+	// twiddle sweep), grown by scratch on first need.
 	batchBuf []complex128
 	batchY   []float64
 
@@ -62,10 +61,10 @@ func NewCalculator(d *lora.Demodulator, antennas [][]complex128, start, cfoCycle
 }
 
 // Reset re-targets the calculator at a new packet, invalidating every cached
-// vector while keeping the arena and scratch buffers (regrown only when the
-// new packet needs more slots than any before). It is what lets a CalcPool
-// recycle calculators across decode passes without re-paying the arena
-// allocation per packet.
+// vector while keeping the arena and batch scratch (the arena is regrown
+// only when the new packet needs more slots than any before). It is what
+// lets a CalcPool recycle calculators across decode passes without
+// re-paying the arena allocation per packet.
 func (c *Calculator) Reset(d *lora.Demodulator, antennas [][]complex128, start, cfoCycles float64, numData int) {
 	p := d.Params()
 	n := p.N()
@@ -93,10 +92,6 @@ func (c *Calculator) Reset(d *lora.Demodulator, antennas [][]complex128, start, 
 		c.arena = make([]float64, slots*n)
 	} else {
 		c.arena = c.arena[:slots*n]
-	}
-	if len(c.buf) != n {
-		c.buf = make([]complex128, n)
-		c.scratch = make([]float64, n)
 	}
 }
 
@@ -142,10 +137,16 @@ func (c *Calculator) symStart(idx int) float64 {
 	return c.start + float64((preambleOffset+idx)*p.SymbolSamples())
 }
 
-// computeInto fills y (an arena slot) with symbol idx's signal vector,
-// using the caller's scratch so concurrent prefill workers don't collide.
-func (c *Calculator) computeInto(y []float64, buf []complex128, scratch []float64, idx int) {
-	c.demod.SumSignalVectorInto(y, scratch, buf, c.antennas, c.symStart(idx), c.cfoCycles, idx, false)
+// scratch returns the batch scratch sized for rows symbols, growing it on
+// first need, so a calculator read only lazily (a known packet in the
+// second pass) never holds more than one row.
+func (c *Calculator) scratch(rows int) ([]complex128, []float64) {
+	m := rows * c.demod.Params().N()
+	if cap(c.batchBuf) < m {
+		c.batchBuf = make([]complex128, m)
+		c.batchY = make([]float64, m)
+	}
+	return c.batchBuf[:m], c.batchY[:m]
 }
 
 // slot returns the arena-backed storage of symbol idx.
@@ -156,9 +157,10 @@ func (c *Calculator) slot(idx int) []float64 {
 }
 
 // SigVec returns the cached signal vector of data symbol idx, computing it
-// on first use. Lazy computation mutates the calculator's shared scratch:
-// callers that read concurrently must Prefill first (or PrefillPreamble for
-// preamble-only readers), after which cached reads are pure.
+// on first use as a one-symbol prefillChunk. Lazy computation mutates the
+// calculator's batch scratch: callers that read concurrently must Prefill
+// first (or PrefillPreamble for preamble-only readers), after which cached
+// reads are pure.
 func (c *Calculator) SigVec(idx int) []float64 {
 	if y := c.vecs[idx+preambleOffset]; y != nil {
 		return y
@@ -166,10 +168,9 @@ func (c *Calculator) SigVec(idx int) []float64 {
 	if c.replay {
 		panic("peaks: symbol " + strconv.Itoa(idx) + " was not recorded; replay calculators cannot compute vectors")
 	}
-	y := c.slot(idx)
-	c.computeInto(y, c.buf, c.scratch, idx)
-	c.vecs[idx+preambleOffset] = y
-	return y
+	xb, yb := c.scratch(1)
+	c.prefillChunk([]int{idx}, xb, yb)
+	return c.vecs[idx+preambleOffset]
 }
 
 // prefillBatchRows is the number of symbols whose FFTs share one batched
@@ -179,8 +180,9 @@ const prefillBatchRows = 8
 // Prefill computes every signal vector (preamble and data) that is not yet
 // cached, fanning out across workers (parallel.Workers semantics; <= 1 runs
 // inline). Symbols are processed in batches of prefillBatchRows whose FFTs
-// run as one dsp.ForwardMagBatch twiddle sweep — bit-identical per symbol to
-// the lazy SigVec path. Each worker gets its own stacked scratch, so
+// run as one dsp.ForwardMagBatch twiddle sweep; a transform's result does
+// not depend on the rows stacked with it, so each vector is bit-identical
+// to the lazy SigVec path. Each worker gets its own stacked scratch, so
 // prefilled calculators are safe for any number of concurrent SigVec/ValueAt
 // readers afterwards.
 func (c *Calculator) Prefill(workers int) {
@@ -203,12 +205,8 @@ func (c *Calculator) Prefill(workers int) {
 		xb []complex128
 		yb []float64
 	}
-	if cap(c.batchBuf) < prefillBatchRows*n {
-		c.batchBuf = make([]complex128, prefillBatchRows*n)
-		c.batchY = make([]float64, prefillBatchRows*n)
-	}
 	scratches := make([]ws, workers)
-	scratches[0] = ws{xb: c.batchBuf[:prefillBatchRows*n], yb: c.batchY[:prefillBatchRows*n]}
+	scratches[0].xb, scratches[0].yb = c.scratch(prefillBatchRows)
 	for w := 1; w < workers; w++ {
 		scratches[w] = ws{xb: make([]complex128, prefillBatchRows*n), yb: make([]float64, prefillBatchRows*n)}
 	}
@@ -218,11 +216,10 @@ func (c *Calculator) Prefill(workers int) {
 	})
 }
 
-// prefillChunk fills the arena slots of the given symbol indices: per
-// antenna, every symbol is dechirped into its stacked row and the whole
-// stack runs through one batched magnitude FFT, accumulated per antenna in
-// the same order as computeInto — so each vector is bit-identical to the
-// per-symbol path.
+// prefillChunk fills the arena slots of the given symbol indices, at most
+// prefillBatchRows of them: per antenna, every symbol is dechirped into its
+// stacked row and the whole stack runs through one batched magnitude FFT,
+// whose rows are added into the slots in antenna order.
 func (c *Calculator) prefillChunk(idxs []int, xb []complex128, yb []float64) {
 	n := c.demod.Params().N()
 	rows := len(idxs)
@@ -286,20 +283,13 @@ func (c *Calculator) PreamblePeakHeights() []float64 {
 	for k := 0; k < lora.PreambleUpchirps; k++ {
 		idx := k - preambleOffset
 		y := c.SigVec(idx)
-		_, m := maxOf(y)
+		m := y[HighestBin(y)]
+		if !(m > 0) {
+			m = 0 // a vector with no positive bin, NaN ones included
+		}
 		hs = append(hs, m)
 	}
 	return hs
-}
-
-func maxOf(y []float64) (int, float64) {
-	bi, best := 0, 0.0
-	for i, v := range y {
-		if v > best {
-			best, bi = v, i
-		}
-	}
-	return bi, best
 }
 
 // MaskPeak subtracts a decoded packet's known peak from a signal vector by

@@ -107,6 +107,9 @@ type Pipeline struct {
 	// steady-state loop allocation-light (pinned by the alloc-ceiling test).
 	engine *thrive.Engine
 	calcs  peaks.CalcPool
+	// sels holds estimateSNR's median selectors, one per BEC worker;
+	// sels[0] also serves the serial trace opening in sigcalc.
+	sels []stats.Selector
 
 	// graph runs a full window (pass 1); passGraph re-runs the window
 	// tail for the masked second pass, skipping detection.
@@ -131,6 +134,7 @@ func New(cfg Config) *Pipeline {
 		obs:      cfg.Tracer,
 		rec:      cfg.Recorder,
 		engine:   thrive.NewEngine(cfg.Params, thrive.Config{Policy: cfg.Policy, Omega: cfg.Omega}),
+		sels:     make([]stats.Selector, parallel.Workers(cfg.Workers)),
 	}
 	p.graph = NewGraph(DetectStage{}, SigCalcStage{}, ThriveStage{}, BECStage{})
 	p.passGraph = NewGraph(SigCalcStage{}, ThriveStage{}, BECStage{})
@@ -328,9 +332,12 @@ func (BECStage) Run(p *Pipeline, w *Window) {
 		w.RetryIdx = append(w.RetryIdx, i)
 	}
 	w.Results = make([]Outcome, len(w.RetryIdx))
-	decSt := parallel.ForEach(p.cfg.Workers, len(w.RetryIdx), func(_, j int) {
+	if n := parallel.Workers(p.cfg.Workers); len(p.sels) < n {
+		p.sels = make([]stats.Selector, n)
+	}
+	decSt := parallel.ForEach(p.cfg.Workers, len(w.RetryIdx), func(wk, j int) {
 		i := w.RetryIdx[j]
-		dec, ok := p.decodeAssigned(w.States[i], w.Pkts[i], w.Pass, i)
+		dec, ok := p.decodeAssigned(w.States[i], w.Pkts[i], w.Pass, i, &p.sels[wk])
 		w.Results[j] = Outcome{Dec: dec, OK: ok}
 	})
 	p.met.onDecodeParallel(decSt)
@@ -348,7 +355,7 @@ func (p *Pipeline) newTrace(window uint64, id, pass int, pk detect.Packet, st *t
 		CFOCycles:   pk.CFOCycles,
 		CFOHz:       pk.CFOCycles / p.cfg.Params.SymbolDuration(),
 		Quality:     pk.Quality,
-		SNRdB:       p.estimateSNR(st),
+		SNRdB:       p.estimateSNR(st, &p.sels[0]),
 	})
 	pt.SyncScore = p.syncScore(st)
 	pt.InitSymbols(st.Calc.NumData())
@@ -404,9 +411,9 @@ func (p *Pipeline) newCalc(antennas [][]complex128, pk detect.Packet, traceLen i
 // decodeAssigned turns a packet's assigned peak bins into a payload. idx is
 // the packet's detection index, which seeds its BEC sampling stream. It runs
 // concurrently across packets: everything it touches is either per-packet
-// (state, trace, rng), atomic (metrics), or a pure read (prefilled
-// calculator, shared demodulator).
-func (p *Pipeline) decodeAssigned(st *thrive.PacketState, pk detect.Packet, pass, idx int) (Decoded, bool) {
+// (state, trace, rng), per-worker (sel), atomic (metrics), or a pure read
+// (prefilled calculator, shared demodulator).
+func (p *Pipeline) decodeAssigned(st *thrive.PacketState, pk detect.Packet, pass, idx int, sel *stats.Selector) (Decoded, bool) {
 	t0 := p.met.now()
 	defer p.met.observeDecode(t0)
 	rng := p.packetRNG(pass, idx)
@@ -485,7 +492,7 @@ func (p *Pipeline) decodeAssigned(st *thrive.PacketState, pk detect.Packet, pass
 		Header:      hdr,
 		Start:       pk.Start,
 		CFOCycles:   pk.CFOCycles,
-		SNRdB:       p.estimateSNR(st),
+		SNRdB:       p.estimateSNR(st, sel),
 		Rescued:     rescued,
 		Pass:        pass,
 		DataSymbols: dataSyms,
@@ -570,16 +577,17 @@ func (p *Pipeline) listDecode(st *thrive.PacketState, shifts []int,
 
 // estimateSNR derives a per-packet SNR estimate from the preamble peak
 // height against the noise floor read from the median signal-vector bin
-// (exponential noise: median = ln2·mean).
-func (p *Pipeline) estimateSNR(st *thrive.PacketState) float64 {
+// (exponential noise: median = ln2·mean). sel must not be in use by another
+// goroutine.
+func (p *Pipeline) estimateSNR(st *thrive.PacketState, sel *stats.Selector) float64 {
 	pr := p.cfg.Params
 	hs := st.Calc.PreamblePeakHeights()
 	if len(hs) == 0 {
 		return math.Inf(-1)
 	}
-	peak := stats.Median(hs)
+	peak := sel.Median(hs)
 	y := st.Calc.SigVec(-(lora.PreambleUpchirps + lora.SyncSymbols))
-	floor := stats.Median(y) / math.Ln2
+	floor := sel.Median(y) / math.Ln2
 	if floor <= 0 {
 		return math.Inf(1)
 	}

@@ -152,6 +152,30 @@ func TestRecordingRejectsListDecodeBudget(t *testing.T) {
 	}
 }
 
+// TestRecordingRejectsLDROMismatch pins the LDRO wire field: a header whose
+// value matches the one SF and bandwidth derive parses, and the opposite
+// value is an error rather than a replay with the derived layout.
+func TestRecordingRejectsLDROMismatch(t *testing.T) {
+	for _, sf := range []int{8, 11} {
+		cfg := Config{Params: lora.MustParams(sf, 4, 125e3, 2), UseBEC: true}
+		for _, flip := range []bool{false, true} {
+			hdr := headerFromConfig(&cfg)
+			if hdr.LDRO != (sf == 11) {
+				t.Fatalf("SF %d: header LDRO %v", sf, hdr.LDRO)
+			}
+			hdr.LDRO = hdr.LDRO != flip
+			js, err := json.Marshal(hdr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = ParseRecording(appendRecord([]byte(recMagic), recNameHeader, js))
+			if (err == nil) == flip {
+				t.Errorf("SF %d, LDRO %v: err = %v", sf, hdr.LDRO, err)
+			}
+		}
+	}
+}
+
 // TestReplayConcurrentUse pins the CAS guard: a Replay while the handle is
 // held fails with ErrConcurrentUse, and hammering one handle from many
 // goroutines yields only clean results or ErrConcurrentUse (no races; the
@@ -224,10 +248,10 @@ func TestReplayUnknownStage(t *testing.T) {
 }
 
 // TestRecHeaderConfigRoundtrip checks that every replay-relevant setting
-// survives Config → header → JSON → header → Config, LDRO included.
+// survives Config → header → JSON → header → Config, at SF 11, where LDRO
+// is on.
 func TestRecHeaderConfigRoundtrip(t *testing.T) {
 	p := lora.MustParams(11, 2, 125e3, 1)
-	p.LDRO = true
 	cfg := Config{Params: p, Policy: thrive.PolicySibling, UseBEC: true, DisableSecondPass: true,
 		W: 3, MaxPayloadLen: 20, Omega: 0.3, ListDecode: true, Seed: 9}
 	raw, err := json.Marshal(headerFromConfig(&cfg))

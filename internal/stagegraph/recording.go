@@ -58,7 +58,9 @@ type RecHeader struct {
 	CR        int
 	Bandwidth float64
 	OSF       int
-	LDRO      bool
+	// LDRO is derived from SF and Bandwidth (lora.Params.LDRO); the field
+	// keeps the wire format, and ParseRecording rejects any other value.
+	LDRO bool
 
 	Policy            int
 	UseBEC            bool
@@ -82,7 +84,7 @@ func headerFromConfig(cfg *Config) RecHeader {
 		CR:                cfg.Params.CR,
 		Bandwidth:         cfg.Params.Bandwidth,
 		OSF:               cfg.Params.OSF,
-		LDRO:              cfg.Params.LDRO,
+		LDRO:              cfg.Params.LDRO(),
 		Policy:            int(cfg.Policy),
 		UseBEC:            cfg.UseBEC,
 		DisableSecondPass: cfg.DisableSecondPass,
@@ -98,10 +100,8 @@ func headerFromConfig(cfg *Config) RecHeader {
 // Workers is left zero — replay chooses its own width, which must not (and,
 // per the determinism tests, does not) change any boundary.
 func (h *RecHeader) Config() Config {
-	p := lora.MustParams(h.SF, h.CR, h.Bandwidth, h.OSF)
-	p.LDRO = h.LDRO
 	return Config{
-		Params:            p,
+		Params:            lora.MustParams(h.SF, h.CR, h.Bandwidth, h.OSF),
 		Policy:            thrive.Policy(h.Policy),
 		UseBEC:            h.UseBEC,
 		DisableSecondPass: h.DisableSecondPass,

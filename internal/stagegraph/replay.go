@@ -116,8 +116,13 @@ func ParseRecording(data []byte) (*Recording, error) {
 		return nil, fmt.Errorf("stagegraph: header record: ListDecodeBudget %d not supported (the budget is fixed at %d)",
 			rec.Header.ListDecodeBudget, listDecodeBudget)
 	}
-	if _, err := lora.NewParams(rec.Header.SF, rec.Header.CR, rec.Header.Bandwidth, rec.Header.OSF); err != nil {
+	p, err := lora.NewParams(rec.Header.SF, rec.Header.CR, rec.Header.Bandwidth, rec.Header.OSF)
+	if err != nil {
 		return nil, fmt.Errorf("stagegraph: header record: %w", err)
+	}
+	if rec.Header.LDRO != p.LDRO() {
+		return nil, fmt.Errorf("stagegraph: header record: LDRO %v not supported (SF %d at %g Hz sets it %v)",
+			rec.Header.LDRO, p.SF, p.Bandwidth, p.LDRO())
 	}
 
 	var curWin *RecordedWindow

@@ -114,9 +114,10 @@ func TestSelectorMatchesPercentile(t *testing.T) {
 	}
 }
 
-// TestMedianScratchDistributeMatchesPercentile pins MedianScratch against
-// Percentile(x, 50) bit for bit on the same input shapes as the Selector,
-// with a 2n scratch (used as is), an n-length one and none (both grown).
+// TestMedianScratchDistributeMatchesPercentile pins Selector.Median against
+// Percentile(x, 50) bit for bit on extreme inputs (±Inf, subnormals, a
+// 600-decade spread), through a fresh selector and one reused across every
+// input, whose scratch is then often larger than needed.
 func TestMedianScratchDistributeMatchesPercentile(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	gens := []func(n int) []float64{
@@ -166,15 +167,17 @@ func TestMedianScratchDistributeMatchesPercentile(t *testing.T) {
 			return x
 		},
 	}
+	var reused Selector
 	for gi, gen := range gens {
 		for _, n := range []int{1, 2, 3, 15, 16, 17, 33, 256, 1023} {
 			for trial := 0; trial < 5; trial++ {
 				x := gen(n)
 				want := Percentile(x, 50)
-				for _, scratch := range [][]float64{make([]float64, 2*n), make([]float64, n), nil} {
-					if got := MedianScratch(x, scratch); !sameMedian(got, want) {
-						t.Fatalf("gen=%d n=%d trial=%d len(scratch)=%d: MedianScratch=%v (bits %x), Percentile=%v (bits %x)",
-							gi, n, trial, len(scratch), got, math.Float64bits(got), want, math.Float64bits(want))
+				var fresh Selector
+				for si, sel := range []*Selector{&fresh, &reused} {
+					if got := sel.Median(x); !sameMedian(got, want) {
+						t.Fatalf("gen=%d n=%d trial=%d selector %d: Median=%v (bits %x), Percentile=%v (bits %x)",
+							gi, n, trial, si, got, math.Float64bits(got), want, math.Float64bits(want))
 					}
 				}
 			}
@@ -187,23 +190,26 @@ func TestMedianScratchDistributeMatchesPercentile(t *testing.T) {
 // median in this package).
 func TestSelectPairTerminatesOnNaN(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
+	var sel Selector
 	for _, n := range []int{17, 64, 256} {
 		x := make([]float64, n)
 		for i := range x {
 			x[i] = math.NaN()
 		}
-		MedianScratch(x, make([]float64, 2*n))
+		sel.Median(x)
+		sel.MedianArgMin(x, 1)
 		for i := range x {
 			if rng.Intn(2) == 0 {
 				x[i] = rng.NormFloat64()
 			}
 		}
-		MedianScratch(x, make([]float64, 2*n))
+		sel.Median(x)
+		sel.MedianArgMin(x, 1)
 	}
 }
 
 // TestSelectorMedianAbsResiduals pins the residual form against the
-// allocating reference.
+// sort-based oracle over the residuals.
 func TestSelectorMedianAbsResiduals(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var sel Selector
@@ -214,7 +220,11 @@ func TestSelectorMedianAbsResiduals(t *testing.T) {
 			x[i] = rng.NormFloat64()
 			fit[i] = rng.NormFloat64()
 		}
-		want := MedianAbsResiduals(x, fit)
+		d := make([]float64, n)
+		for i := range d {
+			d[i] = math.Abs(x[i] - fit[i])
+		}
+		want := Percentile(d, 50)
 		got := sel.MedianAbsResiduals(x, fit)
 		if !sameMedian(got, want) {
 			t.Fatalf("n=%d: Selector %v vs reference %v", n, got, want)
@@ -226,7 +236,8 @@ func TestSelectorMedianAbsResiduals(t *testing.T) {
 }
 
 // TestSelectorZeroSteadyStateAllocs pins the pool contract: after the first
-// call sized the key buffer, Median and MedianAbsResiduals allocate nothing.
+// call sized the key buffer, Median, MedianAbsResiduals and MedianArgMin
+// allocate nothing.
 func TestSelectorZeroSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	var sel Selector
@@ -243,11 +254,13 @@ func TestSelectorZeroSteadyStateAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { sel.MedianAbsResiduals(x, fit) }); n != 0 {
 		t.Fatalf("Selector.MedianAbsResiduals allocates %v/op in steady state", n)
 	}
+	if n := testing.AllocsPerRun(100, func() { sel.MedianArgMin(x, 0.5) }); n != 0 {
+		t.Fatalf("Selector.MedianArgMin allocates %v/op in steady state", n)
+	}
 }
 
-// BenchmarkMedianSelector contrasts the selector and MedianScratch (with the
-// 2n scratch every production caller passes) with the allocating sort-based
-// Median on the signal-vector lengths the decode loop sees.
+// BenchmarkMedianSelector contrasts the selector with the allocating
+// sort-based oracle on the signal-vector lengths the decode loop sees.
 func BenchmarkMedianSelector(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{256, 1024} {
@@ -265,19 +278,11 @@ func BenchmarkMedianSelector(b *testing.B) {
 				sel.Median(x)
 			}
 		})
-		b.Run(fmt.Sprintf("scratch/n=%d", n), func(b *testing.B) {
-			scratch := make([]float64, 2*n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MedianScratch(x, scratch)
-			}
-		})
 		b.Run(fmt.Sprintf("sorted/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				Median(x)
+				Percentile(x, 50)
 			}
 		})
 	}
@@ -314,6 +319,7 @@ func TestMedianArgMinMatchesPercentile(t *testing.T) {
 			return x
 		},
 	}
+	var sel Selector
 	for gi, gen := range gens {
 		for _, n := range []int{1, 2, 15, 16, 17, 33, 256, 1023} {
 			for trial := 0; trial < 5; trial++ {
@@ -332,12 +338,12 @@ func TestMedianArgMinMatchesPercentile(t *testing.T) {
 					0,                    // at or below the minimum
 					math.Inf(1),          // everything below the pivot
 					math.Inf(-1),         // nothing below the pivot
-					math.NaN(),           // no hint: MedianScratch fallback
+					math.NaN(),           // no hint: plain Median
 					x[rng.Intn(len(x))],  // an arbitrary element
 					-x[rng.Intn(len(x))], // likely below the minimum
 				}
 				for hi, hint := range hints {
-					got, arg := MedianArgMin(x, make([]float64, 2*n), hint)
+					got, arg := sel.MedianArgMin(x, hint)
 					if !sameMedian(got, want) {
 						t.Fatalf("gen=%d n=%d trial=%d hint[%d]=%v: MedianArgMin=%v (bits %x), Percentile=%v (bits %x)",
 							gi, n, trial, hi, hint, got, math.Float64bits(got), want, math.Float64bits(want))
@@ -362,7 +368,7 @@ func TestMedianArgMinMatchesPercentile(t *testing.T) {
 // result must still match Percentile exactly.
 func TestMedianArgMinSeededChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	scratch := make([]float64, 512)
+	var sel Selector
 	hint := 0.0
 	for win := 0; win < 200; win++ {
 		scale := 1 + 5*math.Sin(float64(win)/13)*math.Sin(float64(win)/13)
@@ -372,7 +378,7 @@ func TestMedianArgMinSeededChain(t *testing.T) {
 			x[i] = v * v
 		}
 		want := Percentile(x, 50)
-		got, _ := MedianArgMin(x, scratch, hint)
+		got, _ := sel.MedianArgMin(x, hint)
 		if !sameMedian(got, want) {
 			t.Fatalf("window %d (hint %v): MedianArgMin=%v, Percentile=%v", win, hint, got, want)
 		}

@@ -8,64 +8,6 @@ import (
 	"sort"
 )
 
-// Median returns the median of x, or 0 for an empty slice. x is not
-// modified.
-func Median(x []float64) float64 {
-	return Percentile(x, 50)
-}
-
-// MedianScratch returns the median of x without modifying it, using scratch
-// as working space for the distribute selection (selectPair). It allocates
-// only when cap(scratch) < 2·len(x), and returns the same bits as
-// Percentile(x, 50).
-func MedianScratch(x, scratch []float64) float64 {
-	n := len(x)
-	if n == 0 {
-		return 0
-	}
-	if cap(scratch) < 2*n {
-		scratch = make([]float64, 2*n)
-	}
-	s := scratch[:2*n]
-	copy(s[:n], x)
-	return median(s, n)
-}
-
-// MedianArgMin returns the median of x (the bits of MedianScratch) together
-// with the index of the first occurrence of the minimum of x. hint is a
-// caller-supplied pivot for the first selection round. The hint never
-// changes the result — selection returns the exact order statistics under
-// any pivot sequence — but a hint near the median (a neighboring scan
-// window's, say) shrinks the active range to the rank error in one pass, and
-// the hint round reads x directly, skipping MedianScratch's protective copy.
-// The argmin is folded into that streaming pass, so the detection scan walks
-// each window once for both its selectivity threshold and its peak-finder
-// rotation. Callers with no usable hint (NaN, or a cold start) get plain
-// MedianScratch behavior. For empty x it returns (0, 0).
-func MedianArgMin(x, scratch []float64, hint float64) (med float64, argMin int) {
-	n := len(x)
-	if n > 16 && cap(scratch) >= 2*n && !math.IsNaN(hint) {
-		s := scratch[:2*n]
-		i := (n - 1) / 2
-		frac := 0.5 * float64((n-1)%2)
-		kth, next, am := selectPairHint(x, s[:n], s[n:], i, hint)
-		if i+1 >= n {
-			return kth, am
-		}
-		return kth*(1-frac) + next*frac, am
-	}
-	am := 0
-	if n > 0 {
-		minV := x[0]
-		for t, v := range x {
-			if v < minV {
-				minV, am = v, t
-			}
-		}
-	}
-	return MedianScratch(x, scratch), am
-}
-
 // selectPair returns the k-th and (k+1)-th order statistics of a, destroying
 // a and using b (same length) as the distribute target. Each round streams
 // the active range through a two-ended distribute — every element is stored
@@ -217,43 +159,6 @@ rounds:
 		next = rightMin
 	}
 	return kth, next
-}
-
-// Percentile returns the p-th percentile (0..100) of x using linear
-// interpolation between order statistics. x is not modified.
-func Percentile(x []float64, p float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), x...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	pos := p / 100 * float64(len(s)-1)
-	i := int(pos)
-	frac := pos - float64(i)
-	if i+1 >= len(s) {
-		return s[i]
-	}
-	return s[i]*(1-frac) + s[i+1]*frac
-}
-
-// MedianAbsResiduals returns the median of |x[i] - fit[i]|, the per-sample
-// residual deviation against a fitted curve.
-func MedianAbsResiduals(x, fit []float64) float64 {
-	n := min(len(x), len(fit))
-	if n == 0 {
-		return 0
-	}
-	d := make([]float64, n)
-	for i := 0; i < n; i++ {
-		d[i] = math.Abs(x[i] - fit[i])
-	}
-	return Median(d)
 }
 
 // MovingAverageInto writes into dst the centered moving average of x with

@@ -10,17 +10,42 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// Percentile returns the p-th percentile (0..100) of x using linear
+// interpolation between order statistics, by sorting a copy of x. It is the
+// oracle every median test compares the Selector against.
+func Percentile(x []float64, p float64) float64 {
+	if len(x) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), x...)
+	sort.Float64s(s)
+	if p <= 0 {
+		return s[0]
+	}
+	if p >= 100 {
+		return s[len(s)-1]
+	}
+	pos := p / 100 * float64(len(s)-1)
+	i := int(pos)
+	frac := pos - float64(i)
+	if i+1 >= len(s) {
+		return s[i]
+	}
+	return s[i]*(1-frac) + s[i+1]*frac
+}
+
 func TestMedian(t *testing.T) {
-	if Median(nil) != 0 {
+	var sel Selector
+	if sel.Median(nil) != 0 {
 		t.Error("empty-slice median should be 0")
 	}
 	x := []float64{3, 1, 2}
-	if !almostEq(Median(x), 2, 1e-12) {
-		t.Errorf("Median = %g", Median(x))
+	if !almostEq(sel.Median(x), 2, 1e-12) {
+		t.Errorf("Median = %g", sel.Median(x))
 	}
 	y := []float64{4, 1, 3, 2}
-	if !almostEq(Median(y), 2.5, 1e-12) {
-		t.Errorf("even Median = %g", Median(y))
+	if !almostEq(sel.Median(y), 2.5, 1e-12) {
+		t.Errorf("even Median = %g", sel.Median(y))
 	}
 	// Median must not modify its input.
 	if x[0] != 3 || x[1] != 1 {
@@ -49,10 +74,11 @@ func TestMedianIsOrderInvariant(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		m1 := Median(x)
+		var sel Selector
+		m1 := sel.Median(x)
 		shuffled := append([]float64(nil), x...)
 		rng.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		return almostEq(m1, Median(shuffled), 1e-12)
+		return almostEq(m1, sel.Median(shuffled), 1e-12)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -63,10 +89,11 @@ func TestMedianAbsResiduals(t *testing.T) {
 	x := []float64{1, 2, 3}
 	fit := []float64{1.5, 2, 2}
 	// residuals {0.5, 0, 1} → median 0.5
-	if got := MedianAbsResiduals(x, fit); !almostEq(got, 0.5, 1e-12) {
+	var sel Selector
+	if got := sel.MedianAbsResiduals(x, fit); !almostEq(got, 0.5, 1e-12) {
 		t.Errorf("residual MAD = %g", got)
 	}
-	if MedianAbsResiduals(x, nil) != 0 {
+	if sel.MedianAbsResiduals(x, nil) != 0 {
 		t.Error("empty fit should give 0")
 	}
 }
@@ -157,8 +184,13 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+// TestMedianScratchMatchesMedianExactly pins Selector.Median to the
+// sort-based oracle bit for bit, through a fresh selector, one reused
+// across every input (so its scratch is often larger than needed) and one
+// grown to 2n beforehand.
 func TestMedianScratchMatchesMedianExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	var reused Selector
 	for trial := 0; trial < 500; trial++ {
 		n := rng.Intn(300)
 		x := make([]float64, n)
@@ -172,10 +204,12 @@ func TestMedianScratchMatchesMedianExactly(t *testing.T) {
 				x[i] = rng.ExpFloat64() * 1e3
 			}
 		}
-		want := Median(x)
-		for _, scratch := range [][]float64{nil, make([]float64, 0, n), make([]float64, 2*n)} {
-			if got := MedianScratch(x, scratch); got != want { // bit-exact: hot paths swap this in
-				t.Fatalf("n=%d cap(scratch)=%d: MedianScratch = %v, Median = %v", n, cap(scratch), got, want)
+		want := Percentile(x, 50)
+		var fresh, grown Selector
+		grown.grow(n)
+		for name, sel := range map[string]*Selector{"fresh": &fresh, "reused": &reused, "grown": &grown} {
+			if got := sel.Median(x); got != want { // bit-exact: hot paths rely on it
+				t.Fatalf("n=%d %s selector: Median = %v, Percentile = %v", n, name, got, want)
 			}
 		}
 	}
@@ -183,20 +217,23 @@ func TestMedianScratchMatchesMedianExactly(t *testing.T) {
 
 func TestMedianScratchDoesNotModifyInput(t *testing.T) {
 	x := []float64{5, 1, 4, 2, 3}
-	scratch := make([]float64, 5)
-	if got := MedianScratch(x, scratch); got != 3 {
-		t.Fatalf("MedianScratch = %v", got)
+	var sel Selector
+	if got := sel.Median(x); got != 3 {
+		t.Fatalf("Median = %v", got)
 	}
 	if x[0] != 5 || x[1] != 1 || x[4] != 3 {
-		t.Fatal("MedianScratch modified its input")
+		t.Fatal("Median modified its input")
 	}
-	// Undersized scratch still works (allocates internally).
-	if got := MedianScratch(x, nil); got != 3 {
-		t.Fatalf("MedianScratch(nil scratch) = %v", got)
+	if got, _ := sel.MedianArgMin(x, 2); got != 3 {
+		t.Fatalf("MedianArgMin = %v", got)
+	}
+	if x[0] != 5 || x[1] != 1 || x[4] != 3 {
+		t.Fatal("MedianArgMin modified its input")
 	}
 }
 
 func TestMedianScratchSortedAndReversed(t *testing.T) {
+	var sel Selector
 	for _, n := range []int{1, 2, 3, 12, 13, 16, 17, 100, 101} {
 		asc := make([]float64, n)
 		for i := range asc {
@@ -206,10 +243,10 @@ func TestMedianScratchSortedAndReversed(t *testing.T) {
 		for i := range desc {
 			desc[i] = float64(n - i)
 		}
-		if got, want := MedianScratch(asc, nil), Median(asc); got != want {
+		if got, want := sel.Median(asc), Percentile(asc, 50); got != want {
 			t.Fatalf("sorted n=%d: got %v want %v", n, got, want)
 		}
-		if got, want := MedianScratch(desc, nil), Median(desc); got != want {
+		if got, want := sel.Median(desc), Percentile(desc, 50); got != want {
 			t.Fatalf("reversed n=%d: got %v want %v", n, got, want)
 		}
 	}

@@ -26,11 +26,11 @@ func FuzzStreamFeed(f *testing.F) {
 	f.Add(nan)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Small radio parameters keep each iteration cheap: SF 6 at OSF 1
-		// with an 8-byte payload bound gives a window of a few thousand
+		// Small radio parameters keep each iteration cheap: SF 7 at OSF 1
+		// with an 8-byte payload bound gives a window of about 22k
 		// samples, so Flush always runs a full decode pass.
 		s, err := New(Config{
-			Receiver: stagegraph.Config{Params: lora.MustParams(6, 4, 125e3, 1), Workers: 1, MaxPayloadLen: 8},
+			Receiver: stagegraph.Config{Params: lora.MustParams(7, 4, 125e3, 1), Workers: 1, MaxPayloadLen: 8},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -244,7 +244,7 @@ func TestWindowFollowsReceiverPayloadBound(t *testing.T) {
 		{streamParams(), 0, 1017856, 258560},
 		{streamParams(), 8, 362496, 94720},
 		{streamParams(), 12, 428032, 111104},
-		{lora.MustParams(6, 4, 125e3, 1), 8, 13376, 3472},
+		{lora.MustParams(7, 4, 125e3, 1), 8, 22656, 5920},
 	} {
 		s, err := New(Config{Receiver: stagegraph.Config{Params: c.p, MaxPayloadLen: c.maxPayload}})
 		if err != nil {

@@ -1,113 +1,108 @@
 #!/usr/bin/env bash
 # bench_pipeline.sh — measure the receiver pipeline across worker-pool widths
-# plus the dechirp/sigcalc kernel micro-benchmarks, and write
-# BENCH_pipeline.json (ns/op, allocs/op, bytes/op, samples/sec and
-# samples/sec-per-core per variant, with the host's CPU count recorded per
-# variant so numbers from different hosts stay comparable) for tracking the
-# parallel-decode, allocation and kernel-fusion work.
+# plus the dechirp/sigcalc kernel micro-benchmarks, the network-server ingest
+# and the trace store, and either record them or compare two commits.
 #
 # Usage: scripts/bench_pipeline.sh [benchtime] [output]
-#   benchtime  go test -benchtime value for the receiver bench (default 5x;
-#              kernel micro-benches always use time-based 200ms runs)
-#   output     JSON path (default BENCH_pipeline.json in the repo root)
+#   Records one run of every row into a JSON file (default
+#   BENCH_pipeline.json in the repo root): ns/op, allocs/op, bytes/op,
+#   samples/sec and samples/sec-per-core per variant, with the host's CPU
+#   count and CPU model. benchtime is the go test -benchtime of the receiver
+#   rows (default 5x); the other rows always use time-based 200ms runs.
+#   Absolute numbers only describe the host they were taken on.
 #
-#        scripts/bench_pipeline.sh check [benchtime] [baseline]
-#   Runs the same benchmarks into a temporary file, prints a benchstat-style
-#   delta table against the committed baseline (default BENCH_pipeline.json),
-#   and exits non-zero when the receiver `bare` variant, any production
-#   kernel row (ScanPreambles, dechirp, FFT) or any fleet ingest row
-#   (netserver workers=1/2/4) regresses by more than 10% in ns/op. The
-#   test-oracle kernel rows (Dechirp/legacy*, DechirpKernel/legacy_3pass,
-#   ForwardMagBatch/per-row) measure reference paths no production code
-#   runs; they stay in the table as informational rows and are not gated.
+#        scripts/bench_pipeline.sh compare REF [pairs] [benchtime]
+#   Exports REF (any commit-ish) into a temporary directory, builds the
+#   benchmark binaries of REF and of the working tree, and runs pairs
+#   (default 5) rounds of both. Within a round every benchmark repeat
+#   alternates between the two sides, and each side's value of a row is its
+#   minimum over the round. For every row it prints both sides' minimum
+#   over all pairs, their ratio (working tree / REF, ns/op), the median of
+#   the per-pair ratios and the number of pairs the working tree won. A
+#   row regresses when both ratios exceed 1.10: the minimum is the
+#   estimator every run uses, and the per-pair median keeps one lucky
+#   repeat from deciding. The script exits non-zero when the receiver
+#   `bare` variant, any production kernel row (ScanPreambles, dechirp, FFT,
+#   the §7 search) or any fleet ingest row (netserver workers=1/2/4)
+#   regresses. The test-oracle kernel rows (Dechirp/legacy*,
+#   DechirpKernel/legacy_3pass, ForwardMagBatch/per-row) measure reference
+#   paths no production code runs; they are printed but not gated.
+#
+#        scripts/bench_pipeline.sh check [pairs] [benchtime]
+#   compare against the merge base of HEAD and origin/main (main when there
+#   is no origin).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-if [[ "${1:-}" == "check" ]]; then
-    benchtime="${2:-5x}"
-    base="${3:-BENCH_pipeline.json}"
-    [[ -f "$base" ]] || { echo "baseline $base not found" >&2; exit 2; }
-    tmp=$(mktemp /tmp/bench_pipeline.XXXXXX.json)
-    trap 'rm -f "$tmp"' EXIT
-    bash scripts/bench_pipeline.sh "$benchtime" "$tmp"
-    echo "" >&2
-    # Benchstat-style comparison: section-qualified rows, ns/op old vs new.
-    # Gated rows (the receiver bare variant, every production kernel row
-    # and every fleet ingest row) fail the check beyond +10%; the rest,
-    # test-oracle kernel rows included, are informational.
-    awk -v gate=10 '
-    FNR == 1 { fileno++ }
-    /^  "variants": \{/   { section = "variants"; next }
-    /^  "kernels": \{/    { section = "kernels"; next }
-    /^  "fleet": \{/      { section = "fleet"; next }
-    /^  "tracestore": \{/ { section = "tracestore"; next }
-    /^  \},?$/            { section = "" }
-    section != "" && /^    "/ {
-        name = $0; sub(/^ *"/, "", name); sub(/".*/, "", name)
-        ns = $0; sub(/.*"ns_per_op": /, "", ns); sub(/[,}].*/, "", ns)
-        key = section "/" name
-        if (fileno == 1) { old[key] = ns }
-        else if (!(key in new)) { new[key] = ns; order[n++] = key }
-    }
-    END {
-        printf "%-40s %15s %15s %9s\n", "name", "old ns/op", "new ns/op", "delta"
-        fail = 0
-        for (i = 0; i < n; i++) {
-            key = order[i]
-            if (!(key in old)) {
-                printf "%-40s %15s %15s %9s\n", key, "-", new[key], "new"
-                continue
-            }
-            delta = (new[key] - old[key]) / old[key] * 100
-            oracle = (key ~ /^kernels\/Dechirp\/legacy/ || key == "kernels/DechirpKernel/legacy_3pass" || key == "kernels/ForwardMagBatch/per-row")
-            gated = !oracle && (key == "variants/bare" || key ~ /^kernels\// || key ~ /^fleet\//)
-            mark = ""
-            if (gated && delta > gate) { mark = "  REGRESSION"; fail = 1 }
-            printf "%-40s %15s %15s %+8.2f%%%s\n", key, old[key], new[key], delta, mark
-        }
-        exit fail
-    }' "$base" "$tmp"
-    exit $?
-fi
+# Packages with benchmark rows.
+pkgs=(. internal/lora internal/detect internal/dsp internal/netserver internal/tracestore)
 
-benchtime="${1:-5x}"
-out="${2:-BENCH_pipeline.json}"
+# build SRC BIN compiles the test binary of every package in pkgs from the
+# tree at SRC into the directory BIN. -trimpath keeps the directory a tree
+# sits in out of its binaries, so identical sources give identical binaries.
+build() {
+    local src=$1 bin=$2 pkg
+    mkdir -p "$bin"
+    for pkg in "${pkgs[@]}"; do
+        (cd "$src" && go test -c -trimpath -o "$bin/${pkg//\//_}.test" "./$pkg")
+    done
+}
 
-raw=$(go test -bench 'BenchmarkReceiver/' -benchtime "$benchtime" -count 3 -run '^$' . )
-echo "$raw" >&2
+# run BIN SRC PKG FLAGS... runs one package's benchmarks from its directory,
+# as go test would.
+run() {
+    local bin=$1 src=$2 pkg=$3
+    shift 3
+    (cd "$src/$pkg" && "$bin/${pkg//\//_}.test" -test.run '^$' -test.timeout 30m "$@")
+}
 
-# Kernel micro-benchmarks: the fused dechirp (vs the legacy 3-pass path), one
-# Q evaluation, one full fractional sync search, the whole refine (±2T
-# validation and search) of a collision trace's candidates, and the preamble
-# scan across pool widths. Time-based benchtime keeps these stable regardless of the
-# iteration count passed for the (much slower) receiver bench; -count with
-# per-row minimum (taken in the awk below) is the honest estimator on a
-# steal-prone shared host, where single runs swing far more than the
-# differences being tracked. ScanPreambles gets the deepest repeat count:
-# its iterations are ms-scale (few per 200ms window), so its single-run
-# variance is the largest of the gated rows.
-kraw=$(go test -bench 'BenchmarkDechirp$' -benchtime 200ms -count 5 -run '^$' ./internal/lora
-       go test -bench 'BenchmarkEvalQ$|BenchmarkFractionalSearch$|BenchmarkRefine$|BenchmarkScanPreambles$' -benchtime 200ms -count 15 -run '^$' ./internal/detect
-       go test -bench 'BenchmarkDechirpKernel$|BenchmarkForwardMag256$|BenchmarkForwardMagBatch$' -benchtime 200ms -count 5 -run '^$' ./internal/dsp)
-echo "$kraw" >&2
+# counts[S] is how often a run repeats step S; every row keeps the minimum
+# over its repeats.
+counts=(3 5 15 5 12 1)
 
-# Network-server ingest across verification widths: the mixed join/dedup/
-# data batch, reporting packets/sec and the dedup-table high-water bytes.
-# Min across -count repeats (in the awk below), same estimator as the
-# kernel rows: these are gated and µs-scale, so single-run steal-time
-# swings would dwarf the regressions being tracked. 12 repeats because
-# the three worker widths run the same inline path at this batch size
-# and their mins must converge close enough to compare.
-fraw=$(go test -bench 'BenchmarkNetserverIngest/' -benchtime 200ms -count 12 -run '^$' ./internal/netserver)
-echo "$fraw" >&2
+# step BIN SRC BENCHTIME S COUNT runs benchmark step S (0 to 5) of the tree
+# at SRC COUNT times and prints go test's output. Steps 1 to 3 are the
+# kernel rows, 4 the fleet rows and 5 the trace store.
+step() {
+    local bin=$1 src=$2 benchtime=$3 count=$5
+    case $4 in
+    0) run "$bin" "$src" . -test.bench 'BenchmarkReceiver/' -test.benchtime "$benchtime" -test.count "$count" ;;
+    # Kernel micro-benchmarks: the fused dechirp (vs the legacy 3-pass
+    # path), one Q evaluation, one full fractional sync search, the whole
+    # refine (±2T validation and search) of a collision trace's candidates,
+    # the preamble scan across pool widths and the FFT entry points.
+    # Time-based benchtime keeps these stable regardless of the iteration
+    # count passed for the (much slower) receiver bench; -count with
+    # per-row minimum (taken in the awk below) is the honest estimator on a
+    # steal-prone shared host, where single runs swing far more than the
+    # differences being tracked. The detect rows get the deepest repeat
+    # count: ScanPreambles iterations are ms-scale (few per 200ms window),
+    # so its single-run variance is the largest of the gated rows.
+    1) run "$bin" "$src" internal/lora -test.bench 'BenchmarkDechirp$' -test.benchtime 200ms -test.count "$count" ;;
+    2) run "$bin" "$src" internal/detect -test.bench 'BenchmarkEvalQ$|BenchmarkFractionalSearch$|BenchmarkRefine$|BenchmarkScanPreambles$' -test.benchtime 200ms -test.count "$count" ;;
+    3) run "$bin" "$src" internal/dsp -test.bench 'BenchmarkDechirpKernel$|BenchmarkForwardMag256$|BenchmarkForwardMagBatch$' -test.benchtime 200ms -test.count "$count" ;;
+    # Network-server ingest across verification widths: the mixed join/
+    # dedup/data batch, reporting packets/sec and the dedup-table
+    # high-water bytes. Min across -count repeats, as for the kernel rows:
+    # these are gated and µs-scale. 12 repeats because the three worker
+    # widths run the same inline path at this batch size and their mins
+    # must converge close enough to compare.
+    4) run "$bin" "$src" internal/netserver -test.bench 'BenchmarkNetserverIngest/' -test.benchtime 200ms -test.count "$count" ;;
+    # Trace store: the durable append path (enqueue + batched write/fsync,
+    # records/s) and an indexed query against a sealed 100k-record store.
+    5) run "$bin" "$src" internal/tracestore -test.bench 'BenchmarkStoreAppend$|BenchmarkStoreQuery$' -test.benchtime 200ms -test.count "$count" ;;
+    esac
+}
 
-# Trace store: the durable append path (enqueue + batched write/fsync,
-# records/s) and an indexed query against a sealed 100k-record store.
-traw=$(go test -bench 'BenchmarkStoreAppend$|BenchmarkStoreQuery$' -benchtime 200ms -run '^$' ./internal/tracestore)
-echo "$traw" >&2
-
-{ echo "$raw"; echo "===KERNELS==="; echo "$kraw"; echo "===FLEET==="; echo "$fraw"; echo "===TRACESTORE==="; echo "$traw"; } | awk -v ncpu="$(nproc)" -v benchtime="$benchtime" '
+# summarize DIR BENCHTIME OUT writes the JSON record of the step outputs
+# DIR/0 to DIR/5 to OUT.
+summarize() {
+    local dir=$1 benchtime=$2 out=$3 model
+    model=$(awk -F': ' '/^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null || true)
+    { cat "$dir/0"; echo "===KERNELS==="; cat "$dir/1" "$dir/2" "$dir/3"
+      echo "===FLEET==="; cat "$dir/4"; echo "===TRACESTORE==="; cat "$dir/5"; } |
+    awk -v ncpu="$(nproc)" -v model="${model:-unknown}" -v benchtime="$benchtime" '
 /^===KERNELS===$/ { kernels = 1; next }
 /^===FLEET===$/ { kernels = 0; fleet = 1; next }
 /^===TRACESTORE===$/ { fleet = 0; tstore = 1; next }
@@ -156,10 +151,12 @@ echo "$traw" >&2
     }
 }
 END {
+    gsub(/["\\]/, "", model)
     printf "{\n"
     printf "  \"bench\": \"BenchmarkReceiver\",\n"
     printf "  \"benchtime\": \"%s\",\n", benchtime
     printf "  \"host_cpus\": %d,\n", ncpu
+    printf "  \"host_cpu_model\": \"%s\",\n", model
     printf "  \"variants\": {\n"
     for (i = 0; i < n; i++) {
         name = order[i]
@@ -194,5 +191,95 @@ END {
     printf "  }\n"
     printf "}\n"
 }' > "$out"
+}
 
-echo "wrote $out" >&2
+# compare REF PAIRS BENCHTIME: see the usage above. Within a pair, the
+# repeats of each step alternate between the sides one at a time, so both
+# sides' minimum of a row come from the same minutes of host load.
+compare() {
+    local ref pairs=$2 benchtime=$3 work i s r side
+    ref=$(git rev-parse --verify "$1^{commit}")
+    work=$(mktemp -d /tmp/bench_pipeline.XXXXXX)
+    trap "rm -rf '$work'" EXIT
+    mkdir "$work/ref"
+    git archive "$ref" | tar -x -C "$work/ref"
+    build "$work/ref" "$work/bin-ref"
+    build "$PWD" "$work/bin-head"
+    local -A src=([ref]="$work/ref" [head]="$PWD")
+    local -a order=(ref head)
+    for ((i = 1; i <= pairs; i++)); do
+        mkdir "$work/ref-$i" "$work/head-$i"
+        for s in 0 1 2 3 4 5; do
+            echo "[pair $i/$pairs] step $s" >&2
+            for ((r = 0; r < counts[s]; r++)); do
+                for side in ${order[(i + r) % 2]} ${order[(i + r + 1) % 2]}; do
+                    step "$work/bin-$side" "${src[$side]}" "$benchtime" $s 1 >> "$work/$side-$i/$s"
+                done
+            done
+        done
+        summarize "$work/ref-$i" "$benchtime" "$work/ref-$i.json"
+        summarize "$work/head-$i" "$benchtime" "$work/head-$i.json"
+    done
+    echo "" >&2
+    python3 - "$work" "$pairs" "$ref" <<'EOF'
+import json, statistics, sys
+
+work, pairs, ref = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+GATE = 1.10
+ORACLE = {"kernels/DechirpKernel/legacy_3pass", "kernels/ForwardMagBatch/per-row"}
+
+def rows(path):
+    doc = json.load(open(path))
+    return {f"{sec}/{name}": row["ns_per_op"]
+            for sec in ("variants", "kernels", "fleet", "tracestore")
+            for name, row in doc.get(sec, {}).items()}
+
+refs = [rows(f"{work}/ref-{i}.json") for i in range(1, pairs + 1)]
+heads = [rows(f"{work}/head-{i}.json") for i in range(1, pairs + 1)]
+print(f"ref {ref[:12]} vs working tree, {pairs} alternating pairs; ratios are tree / ref ns/op")
+print(f"{'row':40} {'ref min':>12} {'tree min':>12} {'min ratio':>9} {'median ratio':>12} {'won':>6}")
+fail = False
+for key in heads[0]:
+    if key not in refs[0]:
+        print(f"{key:40} {'-':>12} {min(h[key] for h in heads):12.6g} {'new':>9}")
+        continue
+    ratios = [h[key] / r[key] for h, r in zip(heads, refs)]
+    med = statistics.median(ratios)
+    rmin, hmin = min(r[key] for r in refs), min(h[key] for h in heads)
+    won = sum(x < 1 for x in ratios)
+    oracle = key in ORACLE or key.startswith("kernels/Dechirp/legacy")
+    gated = not oracle and (key == "variants/bare" or key.startswith(("kernels/", "fleet/")))
+    mark = ""
+    if gated and med > GATE and hmin / rmin > GATE:
+        mark, fail = "  REGRESSION", True
+    print(f"{key:40} {rmin:12.6g} {hmin:12.6g} {hmin / rmin:9.3f} {med:12.3f} {won:>3}/{pairs}{mark}")
+for key in refs[0]:
+    if key not in heads[0]:
+        print(f"{key:40} {min(r[key] for r in refs):12.6g} {'-':>12} {'gone':>9}")
+sys.exit(1 if fail else 0)
+EOF
+}
+
+case "${1:-}" in
+compare)
+    [[ $# -ge 2 ]] || { echo "usage: $0 compare REF [pairs] [benchtime]" >&2; exit 2; }
+    compare "$2" "${3:-5}" "${4:-5x}"
+    ;;
+check)
+    base=$(git merge-base HEAD origin/main 2>/dev/null || git merge-base HEAD main)
+    compare "$base" "${2:-5}" "${3:-5x}"
+    ;;
+*)
+    benchtime="${1:-5x}"
+    out="${2:-BENCH_pipeline.json}"
+    work=$(mktemp -d /tmp/bench_pipeline.XXXXXX)
+    trap 'rm -rf "$work"' EXIT
+    build "$PWD" "$work/bin"
+    mkdir "$work/raw"
+    for s in 0 1 2 3 4 5; do
+        step "$work/bin" "$PWD" "$benchtime" $s "${counts[s]}" | tee "$work/raw/$s" >&2
+    done
+    summarize "$work/raw" "$benchtime" "$out"
+    echo "wrote $out" >&2
+    ;;
+esac
