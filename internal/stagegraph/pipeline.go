@@ -107,8 +107,10 @@ type Pipeline struct {
 	// steady-state loop allocation-light (pinned by the alloc-ceiling test).
 	engine *thrive.Engine
 	calcs  peaks.CalcPool
-	// sels holds estimateSNR's median selectors, one per BEC worker;
-	// sels[0] also serves the serial trace opening in sigcalc.
+	// sel and sels are estimateSNR's median selectors: sel for the serial
+	// trace opening in sigcalc, sels one per BEC worker (sized by
+	// BECStage.Run, since the width can follow GOMAXPROCS).
+	sel  stats.Selector
 	sels []stats.Selector
 
 	// graph runs a full window (pass 1); passGraph re-runs the window
@@ -134,7 +136,6 @@ func New(cfg Config) *Pipeline {
 		obs:      cfg.Tracer,
 		rec:      cfg.Recorder,
 		engine:   thrive.NewEngine(cfg.Params, thrive.Config{Policy: cfg.Policy, Omega: cfg.Omega}),
-		sels:     make([]stats.Selector, parallel.Workers(cfg.Workers)),
 	}
 	p.graph = NewGraph(DetectStage{}, SigCalcStage{}, ThriveStage{}, BECStage{})
 	p.passGraph = NewGraph(SigCalcStage{}, ThriveStage{}, BECStage{})
@@ -355,7 +356,7 @@ func (p *Pipeline) newTrace(window uint64, id, pass int, pk detect.Packet, st *t
 		CFOCycles:   pk.CFOCycles,
 		CFOHz:       pk.CFOCycles / p.cfg.Params.SymbolDuration(),
 		Quality:     pk.Quality,
-		SNRdB:       p.estimateSNR(st, &p.sels[0]),
+		SNRdB:       p.estimateSNR(st, &p.sel),
 	})
 	pt.SyncScore = p.syncScore(st)
 	pt.InitSymbols(st.Calc.NumData())

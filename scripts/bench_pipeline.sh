@@ -11,24 +11,24 @@
 #   rows (default 5x); the other rows always use time-based 200ms runs.
 #   Absolute numbers only describe the host they were taken on.
 #
-#        scripts/bench_pipeline.sh compare REF [pairs] [benchtime]
+#        scripts/bench_pipeline.sh compare REF [benchtime]
 #   Exports REF (any commit-ish) into a temporary directory, builds the
-#   benchmark binaries of REF and of the working tree, and runs pairs
-#   (default 5) rounds of both. Within a round every benchmark repeat
-#   alternates between the two sides, and each side's value of a row is its
-#   minimum over the round. For every row it prints both sides' minimum
-#   over all pairs, their ratio (working tree / REF, ns/op), the median of
-#   the per-pair ratios and the number of pairs the working tree won. A
-#   row regresses when both ratios exceed 1.10: the minimum is the
-#   estimator every run uses, and the per-pair median keeps one lucky
-#   repeat from deciding. The script exits non-zero when the receiver
-#   `bare` variant, any production kernel row (ScanPreambles, dechirp, FFT,
-#   the §7 search) or any fleet ingest row (netserver workers=1/2/4)
+#   benchmark binaries of REF and of the working tree, and runs PAIRS (5)
+#   rounds of both. Within a round every benchmark repeat alternates
+#   between the two sides, and each side's value of a row is its minimum
+#   over the round. For every row it prints both sides' minimum over all
+#   rounds, their ratio (working tree / REF, ns/op), the median of the
+#   per-pair ratios and the number of pairs the working tree won. A row
+#   regresses when its min ratio exceeds 1.10, the estimator every run
+#   uses; the median ratio and the pairs won are printed to show how
+#   steady the difference is. The script exits non-zero when the receiver
+#   `bare` variant, any production kernel row (ScanPreambles, dechirp,
+#   FFT, the §7 search) or any fleet ingest row (netserver workers=1/2/4)
 #   regresses. The test-oracle kernel rows (Dechirp/legacy*,
 #   DechirpKernel/legacy_3pass, ForwardMagBatch/per-row) measure reference
 #   paths no production code runs; they are printed but not gated.
 #
-#        scripts/bench_pipeline.sh check [pairs] [benchtime]
+#        scripts/bench_pipeline.sh check [benchtime]
 #   compare against the merge base of HEAD and origin/main (main when there
 #   is no origin).
 set -euo pipefail
@@ -60,6 +60,9 @@ run() {
 # counts[S] is how often a run repeats step S; every row keeps the minimum
 # over its repeats.
 counts=(3 5 15 5 12 1)
+
+# PAIRS is the number of alternating rounds compare runs.
+PAIRS=5
 
 # step BIN SRC BENCHTIME S COUNT runs benchmark step S (0 to 5) of the tree
 # at SRC COUNT times and prints go test's output. Steps 1 to 3 are the
@@ -193,11 +196,11 @@ END {
 }' > "$out"
 }
 
-# compare REF PAIRS BENCHTIME: see the usage above. Within a pair, the
+# compare REF BENCHTIME: see the usage above. Within a pair, the
 # repeats of each step alternate between the sides one at a time, so both
 # sides' minimum of a row come from the same minutes of host load.
 compare() {
-    local ref pairs=$2 benchtime=$3 work i s r side
+    local ref benchtime=$2 work i s r side
     ref=$(git rev-parse --verify "$1^{commit}")
     work=$(mktemp -d /tmp/bench_pipeline.XXXXXX)
     trap "rm -rf '$work'" EXIT
@@ -207,10 +210,10 @@ compare() {
     build "$PWD" "$work/bin-head"
     local -A src=([ref]="$work/ref" [head]="$PWD")
     local -a order=(ref head)
-    for ((i = 1; i <= pairs; i++)); do
+    for ((i = 1; i <= PAIRS; i++)); do
         mkdir "$work/ref-$i" "$work/head-$i"
         for s in 0 1 2 3 4 5; do
-            echo "[pair $i/$pairs] step $s" >&2
+            echo "[pair $i/$PAIRS] step $s" >&2
             for ((r = 0; r < counts[s]; r++)); do
                 for side in ${order[(i + r) % 2]} ${order[(i + r + 1) % 2]}; do
                     step "$work/bin-$side" "${src[$side]}" "$benchtime" $s 1 >> "$work/$side-$i/$s"
@@ -221,7 +224,7 @@ compare() {
         summarize "$work/head-$i" "$benchtime" "$work/head-$i.json"
     done
     echo "" >&2
-    python3 - "$work" "$pairs" "$ref" <<'EOF'
+    python3 - "$work" "$PAIRS" "$ref" <<'EOF'
 import json, statistics, sys
 
 work, pairs, ref = sys.argv[1], int(sys.argv[2]), sys.argv[3]
@@ -250,7 +253,7 @@ for key in heads[0]:
     oracle = key in ORACLE or key.startswith("kernels/Dechirp/legacy")
     gated = not oracle and (key == "variants/bare" or key.startswith(("kernels/", "fleet/")))
     mark = ""
-    if gated and med > GATE and hmin / rmin > GATE:
+    if gated and hmin / rmin > GATE:
         mark, fail = "  REGRESSION", True
     print(f"{key:40} {rmin:12.6g} {hmin:12.6g} {hmin / rmin:9.3f} {med:12.3f} {won:>3}/{pairs}{mark}")
 for key in refs[0]:
@@ -262,12 +265,12 @@ EOF
 
 case "${1:-}" in
 compare)
-    [[ $# -ge 2 ]] || { echo "usage: $0 compare REF [pairs] [benchtime]" >&2; exit 2; }
-    compare "$2" "${3:-5}" "${4:-5x}"
+    [[ $# -ge 2 ]] || { echo "usage: $0 compare REF [benchtime]" >&2; exit 2; }
+    compare "$2" "${3:-5x}"
     ;;
 check)
     base=$(git merge-base HEAD origin/main 2>/dev/null || git merge-base HEAD main)
-    compare "$base" "${2:-5}" "${3:-5x}"
+    compare "$base" "${2:-5x}"
     ;;
 *)
     benchtime="${1:-5x}"
